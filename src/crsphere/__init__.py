@@ -3,7 +3,8 @@
 The library view of the toolkit:
 
 * :mod:`crsphere.wirtinger` -- exact sparse polynomials in z and zbar with
-  Gaussian-rational coefficients and formal Wirtinger derivatives;
+  Gaussian-rational coefficients and formal Wirtinger derivatives, a scalar
+  reference evaluation and one batched evaluator;
 * :mod:`crsphere.catalog` -- the Ahern-Rudin quartic, its block-sum
   extension, graph embeddings, negative controls, and the exact determinant
   identity;
@@ -17,13 +18,12 @@ The library view of the toolkit:
 __version__ = "0.1.0"
 
 from .wirtinger import (
+    CompiledEvaluator,
     GaussianRational,
     GR_I,
     GR_ONE,
     GR_ZERO,
     WPolynomial,
-    eval_many,
-    term_arrays,
     wirtinger_fd,
 )
 from .catalog import (
@@ -89,8 +89,8 @@ from .certify import (
 __all__ = [
     "__version__",
     # wirtinger
-    "GaussianRational", "GR_I", "GR_ONE", "GR_ZERO", "WPolynomial",
-    "eval_many", "term_arrays", "wirtinger_fd",
+    "CompiledEvaluator", "GaussianRational", "GR_I", "GR_ONE", "GR_ZERO",
+    "WPolynomial", "wirtinger_fd",
     # catalog
     "ArIdentityResult", "GraphEmbedding", "NEGATIVE_CONTROL_KINDS",
     "ar_embedding", "block_sum_embedding", "block_support_ok",

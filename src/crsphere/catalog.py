@@ -24,14 +24,15 @@ SPHERE_TOL = 1e-12
 NEGATIVE_CONTROL_KINDS = ("holomorphic", "zero", "radial")
 
 
-def sphere_defect(z: Sequence[complex]) -> float:
-    """| ||z|| - 1 | of a point of C^m."""
-    return abs(float(np.linalg.norm(np.asarray(z, dtype=np.complex128))) - 1.0)
+def sphere_defect(z: Sequence[complex]) -> float | np.ndarray:
+    """| ||z|| - 1 | of a point of C^m, or of each point of a stack (last axis)."""
+    return np.abs(np.linalg.norm(np.asarray(z, dtype=np.complex128), axis=-1) - 1.0)
 
 
 def require_on_sphere(z: Sequence[complex], tol: float = SPHERE_TOL) -> np.ndarray:
+    """The point (or stack of points) as a complex array; raises if any is off the sphere."""
     zv = np.asarray(z, dtype=np.complex128)
-    defect = sphere_defect(zv)
+    defect = float(np.max(sphere_defect(zv), initial=0.0))
     if defect > tol:
         raise ValueError(
             f"point is off the unit sphere: | ||z|| - 1 | = {defect:.3e} > {tol:.1e}"

@@ -21,10 +21,15 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .catalog import GraphEmbedding, make_ar_polynomial, require_on_sphere
-from .verifier import DEFAULT_RANK_TOL, IndependenceEvaluator, point_report
+from .verifier import (
+    DEFAULT_RANK_TOL,
+    IndependenceEvaluator,
+    _is_marginal,
+    numerical_rank,
+    point_report,
+)
 
 VERDICT_ALL_REGULAR = "all-regular (sampled)"
 VERDICT_MARGINAL = "marginal"
@@ -157,6 +162,14 @@ class CertificateReport:
         return CertificateReport.from_json_dict(json.loads(text))
 
 
+def _verdict(any_failure: bool, any_marginal: bool) -> str:
+    if any_failure:
+        return VERDICT_FAILURE
+    if any_marginal:
+        return VERDICT_MARGINAL
+    return VERDICT_ALL_REGULAR
+
+
 # -- sampling sweep ---------------------------------------------------------------
 
 def sweep(
@@ -185,10 +198,7 @@ def sweep(
 
     def work(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s = ev.singular_values_many(chunk)
-        smin = s[:, -1]
-        smax = s[:, 0]
-        ranks = np.sum(s > cfg.tol * smax[:, None], axis=1)
-        return smin, smax, ranks
+        return s[:, -1], s[:, 0], numerical_rank(s, cfg.tol)
 
     w = worker_count(cfg.workers)
     if w > 1 and len(chunks) > 1:
@@ -202,18 +212,10 @@ def sweep(
     ranks = np.concatenate([p[2] for p in parts])
 
     gidx = int(np.argmin(smin))  # first occurrence: deterministic reduction
-    any_failure = bool(np.any(ranks < full_rank))
-    any_marginal = bool(
-        np.any(
-            (smin > cfg.tol * smax / 10.0) & (smin < cfg.tol * smax * 10.0)
-        )
+    verdict = _verdict(
+        bool(np.any(ranks < full_rank)),
+        bool(np.any(_is_marginal(smin, smax, cfg.tol))),
     )
-    if any_failure:
-        verdict = VERDICT_FAILURE
-    elif any_marginal:
-        verdict = VERDICT_MARGINAL
-    else:
-        verdict = VERDICT_ALL_REGULAR
 
     return CertificateReport(
         label=E.label,
@@ -260,13 +262,16 @@ class LocalMinimum:
     start_value: float
 
 
-def _objective_fn(ev: IndependenceEvaluator, objective: str):
-    if objective == OBJECTIVE_DET_SQ:
-        if ev.q + 1 != ev.m:
-            raise ValueError(
-                "det_sq objective needs a square independence matrix (q+1 == m)"
-            )
+def _require_square(ev: IndependenceEvaluator, objective: str) -> None:
+    if objective == OBJECTIVE_DET_SQ and ev.q + 1 != ev.m:
+        raise ValueError(
+            "det_sq objective needs a square independence matrix (q+1 == m)"
+        )
 
+
+def _objective_fn(ev: IndependenceEvaluator, objective: str):
+    _require_square(ev, objective)
+    if objective == OBJECTIVE_DET_SQ:
         def f_det(z: np.ndarray) -> float:
             return float(abs(np.linalg.det(ev.matrix_many(z[None, :])[0])) ** 2)
 
@@ -290,6 +295,9 @@ def local_minimize(
     the starting value; hitting the iteration cap returns the best point so
     far flagged unconverged.
     """
+    # the only scipy user: imported here so the CLI's other commands load without it
+    from scipy.optimize import minimize
+
     z0v = require_on_sphere(z0)
     if len(z0v) != E.m:
         raise ValueError(f"start has length {len(z0v)}, expected {E.m}")
@@ -345,11 +353,8 @@ def multistart_minimize(
     Z = sample_sphere(E.m, n_scan, seed)
     ev = IndependenceEvaluator(E)
 
+    _require_square(ev, opts.objective)
     if opts.objective == OBJECTIVE_DET_SQ:
-        if ev.q + 1 != ev.m:
-            raise ValueError(
-                "det_sq objective needs a square independence matrix (q+1 == m)"
-            )
         scan_values = np.abs(np.linalg.det(ev.matrix_many(Z))) ** 2
     else:
         scan_values = ev.singular_values_many(Z)[:, -1] ** 2
@@ -364,12 +369,6 @@ def multistart_minimize(
     best = minima[best_idx]
 
     rep = point_report(E, np.asarray(best.z), opts.tol)
-    if not rep.cr_regular:
-        verdict = VERDICT_FAILURE
-    elif rep.marginal:
-        verdict = VERDICT_MARGINAL
-    else:
-        verdict = VERDICT_ALL_REGULAR
 
     return CertificateReport(
         label=E.label,
@@ -383,7 +382,7 @@ def multistart_minimize(
         converged_minima=tuple(
             (lm.z, lm.value) for lm in minima if lm.converged
         ),
-        verdict=verdict,
+        verdict=_verdict(not rep.cr_regular, rep.marginal),
         objective=opts.objective,
         best_value=best.value,
         extras={

@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -258,15 +258,7 @@ def cmd_minimize(args) -> int:
             report
             if objective == OBJECTIVE_DET_SQ
             else multistart_minimize(
-                E,
-                args.restarts,
-                args.seed,
-                MinimizeOptions(
-                    objective=OBJECTIVE_DET_SQ,
-                    max_iter=args.max_iter,
-                    step_tol=args.step_tol,
-                    tol=args.tol,
-                ),
+                E, args.restarts, args.seed, replace(opts, objective=OBJECTIVE_DET_SQ)
             )
         )
         t_star, profile_min = ar_determinant_profile()

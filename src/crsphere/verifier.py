@@ -11,9 +11,11 @@ Three routes to the same verdict at a sphere point z:
 
 The embedding is CR regular at z exactly when the matrix has full rank q+1,
 when the wedge is nonzero, and when the tangent count equals m-q-1.  The
-third route shares no code path with the first two and serves as an
-independent oracle; ``equivalence_check`` runs all three and reports any
-disagreement as an internal inconsistency.
+first two routes evaluate their polynomials with ``CompiledEvaluator``; the
+third takes its Jacobians from the scalar ``WPolynomial.eval``, shares no
+evaluation code with the first two and serves as an independent oracle.
+``equivalence_check_many`` runs all three on a batch of points and reports
+any disagreement as an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .catalog import GraphEmbedding, require_on_sphere
-from .wirtinger import GaussianRational, WPolynomial, term_arrays
+from .wirtinger import CompiledEvaluator, GaussianRational, WPolynomial
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -39,15 +40,22 @@ class RankToleranceError(RuntimeError):
     """Raised when a rank decision is numerically inconsistent."""
 
 
-def numerical_rank(singular_values: np.ndarray, tol: float) -> int:
-    """Number of singular values above tol * sigma_max."""
+def numerical_rank(singular_values: np.ndarray, tol: float) -> np.ndarray | np.integer:
+    """Number of singular values above tol * sigma_max, over the last axis.
+
+    Singular values are non-negative and come in descending order, so
+    sigma_max is the first and sigma_max == 0 gives rank 0.
+    """
     s = np.asarray(singular_values, dtype=float)
-    if s.size == 0:
-        return 0
-    smax = float(s[0])
-    if smax == 0.0:
-        return 0
-    return int(np.sum(s > tol * smax))
+    return np.sum(s > tol * s[..., :1], axis=-1)
+
+
+def _is_marginal(sigma_min, sigma_max, tol: float):
+    """Whether sigma_min lies within MARGINAL_FACTOR of the rank threshold."""
+    threshold = tol * np.asarray(sigma_max)
+    return (threshold / MARGINAL_FACTOR < sigma_min) & (
+        sigma_min < threshold * MARGINAL_FACTOR
+    )
 
 
 # -- differential forms at a point ---------------------------------------------
@@ -119,7 +127,7 @@ def wedge_nonzero(forms: Sequence[OneForm], tol: float = DEFAULT_RANK_TOL) -> bo
         raise ValueError(f"{len(forms)} forms cannot be independent in dimension {dim}")
     M = np.vstack([f.coeffs for f in forms])
     s = np.linalg.svd(M, compute_uv=False)
-    return numerical_rank(s, tol) == len(forms)
+    return bool(numerical_rank(s, tol) == len(forms))
 
 
 # -- criterion 1: the independence matrix ---------------------------------------
@@ -131,31 +139,16 @@ class IndependenceEvaluator:
         self.E = E
         self.m = E.m
         self.q = E.q
-        # term arrays of d/dzbar_k f_j, indexed [j][k]
-        self._dzbar = [
-            [term_arrays(fj.d_zbar(k)) for k in range(E.m)] for fj in E.f
-        ]
+        # d/dzbar_k f_j in row-major (j, k) order
+        self._dzbar = CompiledEvaluator(
+            [fj.d_zbar(k) for fj in E.f for k in range(E.m)]
+        )
 
     def matrix_many(self, points: np.ndarray) -> np.ndarray:
         """Stack of independence matrices, shape (n, q+1, m)."""
         Z = np.asarray(points, dtype=np.complex128)
-        if Z.ndim != 2 or Z.shape[1] != self.m:
-            raise ValueError(f"expected shape (n, {self.m}), got {Z.shape}")
-        Zc = np.conj(Z)
-        out = np.empty((Z.shape[0], self.q + 1, self.m), dtype=np.complex128)
-        out[:, 0, :] = Z
-        for j in range(self.q):
-            for k in range(self.m):
-                A, B, C = self._dzbar[j][k]
-                acc = np.zeros(Z.shape[0], dtype=np.complex128)
-                for a, b, c in zip(A, B, C):
-                    acc += c * np.prod(Z**a, axis=1) * np.prod(Zc**b, axis=1)
-                out[:, j + 1, k] = acc
-        return out
-
-    def matrix(self, z: Sequence[complex]) -> np.ndarray:
-        zv = np.asarray(z, dtype=np.complex128)
-        return self.matrix_many(zv[None, :])[0]
+        grads = self._dzbar(Z).reshape(Z.shape[0], self.q, self.m)
+        return np.concatenate([Z[:, None, :], grads], axis=1)
 
     def singular_values_many(self, points: np.ndarray) -> np.ndarray:
         """Singular values (descending) per point, shape (n, q+1)."""
@@ -167,10 +160,7 @@ def independence_matrix(E: GraphEmbedding, z: Sequence[complex]) -> np.ndarray:
     zv = require_on_sphere(z)
     if len(zv) != E.m:
         raise ValueError(f"point has length {len(zv)}, expected {E.m}")
-    rows = [zv]
-    for fj in E.f:
-        rows.append(np.array([fj.d_zbar(k).eval(zv) for k in range(E.m)]))
-    return np.vstack(rows)
+    return IndependenceEvaluator(E).matrix_many(zv[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -197,31 +187,21 @@ class IndependenceReport:
         }
 
 
-def _is_marginal(sigma_min: float, sigma_max: float, tol: float) -> bool:
-    threshold = tol * sigma_max
-    if threshold == 0.0:
-        return False
-    return threshold / MARGINAL_FACTOR < sigma_min < threshold * MARGINAL_FACTOR
-
-
 def point_report(
     E: GraphEmbedding, z: Sequence[complex], tol: float = DEFAULT_RANK_TOL
 ) -> IndependenceReport:
     """Singular-value rank test of the independence matrix at z."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    M = independence_matrix(E, z)
-    s = np.linalg.svd(M, compute_uv=False)
-    rank = numerical_rank(s, tol)
-    sigma_min = float(s[-1])
-    sigma_max = float(s[0])
+    s = np.linalg.svd(independence_matrix(E, z), compute_uv=False)
+    rank = int(numerical_rank(s, tol))
     return IndependenceReport(
         z=tuple(complex(w) for w in np.asarray(z, dtype=np.complex128)),
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
+        sigma_min=float(s[-1]),
+        sigma_max=float(s[0]),
         rank=rank,
         cr_regular=rank == E.q + 1,
-        marginal=_is_marginal(sigma_min, sigma_max, tol),
+        marginal=bool(_is_marginal(s[-1], s[0], tol)),
         tol=tol,
     )
 
@@ -255,38 +235,38 @@ def defining_functions(E: GraphEmbedding) -> list[WPolynomial]:
 
 # -- criterion 3: brute-force tangent-space count ----------------------------------
 
-def _realify(v: np.ndarray) -> np.ndarray:
-    return np.concatenate([v.real, v.imag])
+def _tangent_cr_dims(E: GraphEmbedding, Z: np.ndarray, tol: float) -> np.ndarray:
+    """dim_C(T ∩ JT) at each point of Z, for T the pushforward of the sphere tangent.
 
-
-def _tangent_intersection_dim(
-    A: np.ndarray, B: np.ndarray, z: np.ndarray, tol: float
-) -> int:
-    """dim_C(T ∩ JT) for T the pushforward of the sphere tangent at z.
-
-    A and B are the (q, m) holomorphic / antiholomorphic Jacobians of the
-    graph functions at z.  Works entirely in real coordinates: T is spanned
-    by the pushforwards of an orthonormal real basis of the sphere tangent,
-    J acts as multiplication by i, and the intersection dimension comes from
-    dim(T) + dim(JT) - rank([T; JT]).
+    The holomorphic / antiholomorphic Jacobians of the graph functions come
+    from the scalar ``WPolynomial.eval``.  The rest works in real coordinates
+    on the whole stack: T is spanned by the pushforwards of an orthonormal real
+    basis of the sphere tangent, J acts as multiplication by i, and the
+    intersection dimension comes from dim(T) + dim(JT) - rank([T; JT]).
     """
-    m = z.shape[0]
-    basis = null_space(_realify(z)[None, :])  # (2m, 2m-1), orthonormal
-    W = basis[:m, :] + 1j * basis[m:, :]      # tangent vectors as columns
-    DF = A @ W + B @ np.conj(W)               # real-linear pushforward
-    V = np.vstack([W, DF])                    # image vectors as columns, (m+q, 2m-1)
-    T = np.hstack([V.T.real, V.T.imag])
-    JV = 1j * V
-    JT = np.hstack([JV.T.real, JV.T.imag])
-    S = np.vstack([T, JT])
-    s = np.linalg.svd(S, compute_uv=False)
-    rank = numerical_rank(s, tol)
-    dim_t = 2 * m - 1
-    total = 2 * dim_t - rank
-    if total % 2:
+    n, m = Z.shape
+    dz = [fj.d_z(k) for fj in E.f for k in range(m)]
+    dzbar = [fj.d_zbar(k) for fj in E.f for k in range(m)]
+    A = np.array([[p.eval(z) for p in dz] for z in Z], dtype=np.complex128)
+    B = np.array([[p.eval(z) for p in dzbar] for z in Z], dtype=np.complex128)
+    A = A.reshape(n, E.q, m).transpose(0, 2, 1)
+    B = B.reshape(n, E.q, m).transpose(0, 2, 1)
+    x = np.concatenate([Z.real, Z.imag], axis=1)
+    # rows 1.. of V^H from the SVD of the 1 x 2m matrix x: an orthonormal
+    # basis of the sphere tangent, shape (n, 2m-1, 2m)
+    basis = np.linalg.svd(x[:, None, :])[2][:, 1:, :]
+    W = basis[:, :, :m] + 1j * basis[:, :, m:]        # tangent vectors as rows
+    V = np.concatenate([W, W @ A + np.conj(W) @ B], axis=2)  # with their pushforwards
+    T = np.concatenate([V.real, V.imag], axis=2)
+    JT = np.concatenate([-V.imag, V.real], axis=2)
+    s = np.linalg.svd(np.concatenate([T, JT], axis=1), compute_uv=False)
+    total = 2 * (2 * m - 1) - numerical_rank(s, tol)
+    odd = np.flatnonzero(total % 2)
+    if odd.size:
+        i = odd[0]
         raise RankToleranceError(
-            "tangent intersection has odd real dimension "
-            f"{total}; singular values near threshold: {s.tolist()}"
+            f"tangent intersection has odd real dimension {total[i]} at "
+            f"z = {Z[i].tolist()}; singular values near threshold: {s[i].tolist()}"
         )
     return total // 2
 
@@ -303,15 +283,7 @@ def cr_dim_at(
     zv = require_on_sphere(z)
     if len(zv) != E.m:
         raise ValueError(f"point has length {len(zv)}, expected {E.m}")
-    A = np.array(
-        [[fj.d_z(k).eval(zv) for k in range(E.m)] for fj in E.f],
-        dtype=np.complex128,
-    )
-    B = np.array(
-        [[fj.d_zbar(k).eval(zv) for k in range(E.m)] for fj in E.f],
-        dtype=np.complex128,
-    )
-    return _tangent_intersection_dim(A, B, zv, tol)
+    return int(_tangent_cr_dims(E, zv[None, :], tol)[0])
 
 
 # -- the two-form identity behind the defining-function route ----------------------
@@ -385,42 +357,37 @@ def equivalence_check(
 def equivalence_check_many(
     E: GraphEmbedding, points: np.ndarray, tol: float = DEFAULT_RANK_TOL
 ) -> list[EquivalenceResult]:
-    """Vector of equivalence checks sharing one precomputed defining-function set."""
+    """All three criteria at a batch of points, each route batched over the points."""
     Z = np.asarray(points, dtype=np.complex128)
     if Z.ndim != 2 or Z.shape[1] != E.m:
         raise ValueError(f"expected shape (n, {E.m}), got {Z.shape}")
+    require_on_sphere(Z)
+
+    s = IndependenceEvaluator(E).singular_values_many(Z)
+    rank_pass = numerical_rank(s, tol) == E.q + 1
+
     rhos = defining_functions(E)
-    rho_dz = [[r.d_z(j) for j in range(r.m)] for r in rhos]
-    dz_polys = [[fj.d_z(k) for k in range(E.m)] for fj in E.f]
-    dzbar_polys = [[fj.d_zbar(k) for k in range(E.m)] for fj in E.f]
+    mq = E.m + E.q
+    image = np.concatenate([Z, CompiledEvaluator(E.f)(Z)], axis=1)
+    forms = CompiledEvaluator([r.d_z(j) for r in rhos for j in range(mq)])(image)
+    forms = forms.reshape(len(Z), len(rhos), mq)
+    wedge_pass = numerical_rank(np.linalg.svd(forms, compute_uv=False), tol) == len(rhos)
+
+    cr_dims = _tangent_cr_dims(E, Z, tol)
     expected = E.m - E.q - 1
-    results = []
-    for z in Z:
-        zv = require_on_sphere(z)
-        w = np.concatenate([zv, np.array([fj.eval(zv) for fj in E.f])])
-        forms = [
-            OneForm(np.array([dj.eval(w) for dj in row])) for row in rho_dz
-        ]
-        wedge_pass = wedge_nonzero(forms, tol)
-
-        rep = point_report(E, zv, tol)
-
-        A = np.array([[p.eval(zv) for p in row] for row in dz_polys],
-                     dtype=np.complex128)
-        B = np.array([[p.eval(zv) for p in row] for row in dzbar_polys],
-                     dtype=np.complex128)
-        cd = _tangent_intersection_dim(A, B, zv, tol)
-
-        results.append(
-            EquivalenceResult(
-                z=tuple(complex(x) for x in zv),
-                tol=tol,
-                rank_pass=rep.cr_regular,
-                wedge_pass=wedge_pass,
-                tangent_pass=cd == expected,
-                cr_dim=cd,
-                expected_cr_dim=expected,
-                sigma_min=rep.sigma_min,
-            )
+    return [
+        EquivalenceResult(
+            z=tuple(z),
+            tol=tol,
+            rank_pass=r,
+            wedge_pass=w,
+            tangent_pass=cd == expected,
+            cr_dim=cd,
+            expected_cr_dim=expected,
+            sigma_min=smin,
         )
-    return results
+        for z, r, w, cd, smin in zip(
+            Z.tolist(), rank_pass.tolist(), wedge_pass.tolist(), cr_dims.tolist(),
+            s[:, -1].tolist(),
+        )
+    ]

@@ -398,11 +398,12 @@ class WPolynomial:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "WPolynomial":
+        """Parse the serialized form strictly; malformed terms raise ValueError."""
         m = int(data["m"])
         terms = [
             (
-                (tuple(int(e) for e in t["alpha"]), tuple(int(e) for e in t["beta"])),
-                GaussianRational(Fraction(t["re"]), Fraction(t["im"])),
+                (_json_exponents(t["alpha"]), _json_exponents(t["beta"])),
+                GaussianRational(_json_rational(t["re"]), _json_rational(t["im"])),
             )
             for t in data["terms"]
         ]
@@ -425,6 +426,22 @@ def _raw(m: int, terms: dict[Key, GaussianRational]) -> WPolynomial:
     return p
 
 
+def _json_exponents(values: Sequence) -> tuple[int, ...]:
+    if any(type(e) is not int for e in values):
+        raise ValueError(f"exponents must be integers, got {values!r}")
+    return tuple(values)
+
+
+def _json_rational(text) -> Fraction:
+    """A coefficient part; it must parse and be finite as a float."""
+    try:
+        value = Fraction(text)
+        float(value)  # overflows when too large for a float
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad coefficient {text!r}: {exc}") from None
+    return value
+
+
 def _check_index(m: int, j: int) -> None:
     if not 0 <= j < m:
         raise ValueError(f"variable index {j} out of range for m={m}")
@@ -432,32 +449,53 @@ def _check_index(m: int, j: int) -> None:
 
 # -- batched evaluation -------------------------------------------------------
 
-def term_arrays(p: WPolynomial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonically ordered (alpha matrix, beta matrix, coefficient vector)."""
-    items = p.sorted_terms()
-    if not items:
-        return (
-            np.zeros((0, p.m), dtype=np.int64),
-            np.zeros((0, p.m), dtype=np.int64),
-            np.zeros(0, dtype=np.complex128),
-        )
-    A = np.array([key[0] for key, _ in items], dtype=np.int64)
-    B = np.array([key[1] for key, _ in items], dtype=np.int64)
-    C = np.array([complex(c) for _, c in items], dtype=np.complex128)
-    return A, B, C
+class CompiledEvaluator:
+    """Several polynomials in the same m variables, evaluated together at many points.
 
+    The union of their monomials (K of them) is stored as exponent arrays and
+    their coefficients as a (K, outputs) complex matrix, so a call forms the
+    (n, K) monomial matrix from power tables of Z and conj(Z) and does one
+    matmul.  The tables hold only the exponents that occur, so their size
+    follows the term count, not the degree.  ``WPolynomial.eval`` is the
+    scalar reference it is tested against.
+    """
 
-def eval_many(p: WPolynomial, points: np.ndarray) -> np.ndarray:
-    """Evaluate at a batch of points, shape (n, m) -> (n,)."""
-    Z = np.asarray(points, dtype=np.complex128)
-    if Z.ndim != 2 or Z.shape[1] != p.m:
-        raise ValueError(f"expected point array of shape (n, {p.m}), got {Z.shape}")
-    A, B, C = term_arrays(p)
-    Zc = np.conj(Z)
-    out = np.zeros(Z.shape[0], dtype=np.complex128)
-    for a, b, c in zip(A, B, C):
-        out += c * np.prod(Z**a, axis=1) * np.prod(Zc**b, axis=1)
-    return out
+    def __init__(self, polys: Sequence[WPolynomial]):
+        if not polys:
+            raise ValueError("need at least one polynomial")
+        m = polys[0].m
+        if any(p.m != m for p in polys):
+            raise ValueError("polynomials must share one variable count")
+        keys = sorted({key for p in polys for key in p.terms}, key=_term_order)
+        index = {key: i for i, key in enumerate(keys)}
+        coeffs = np.zeros((len(keys), len(polys)), dtype=np.complex128)
+        for j, p in enumerate(polys):
+            for key, c in p.terms.items():
+                coeffs[index[key], j] = complex(c)
+        alpha = np.array([a for a, _ in keys], dtype=np.intp).reshape(-1, m)
+        beta = np.array([b for _, b in keys], dtype=np.intp).reshape(-1, m)
+        exps = np.unique(np.concatenate([[0], alpha.ravel(), beta.ravel()]))
+        self.m = m
+        self._steps = np.diff(exps).tolist()  # from one table column to the next
+        self._alpha = np.searchsorted(exps, alpha)  # exponents as table columns
+        self._beta = np.searchsorted(exps, beta)
+        self._coeffs = coeffs
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Values at a batch of points, shape (n, m) -> (n, outputs)."""
+        Z = np.asarray(points, dtype=np.complex128)
+        if Z.ndim != 2 or Z.shape[1] != self.m:
+            raise ValueError(f"expected point array of shape (n, {self.m}), got {Z.shape}")
+        powers = np.empty((Z.shape[0], self.m, len(self._steps) + 1), dtype=np.complex128)
+        powers[:, :, 0] = 1.0
+        for k, step in enumerate(self._steps, 1):
+            powers[:, :, k] = powers[:, :, k - 1] * (Z if step == 1 else Z**step)
+        conj_powers = np.conj(powers)
+        mono = np.ones((Z.shape[0], len(self._coeffs)), dtype=np.complex128)
+        for j in range(self.m):
+            mono *= powers[:, j, self._alpha[:, j]]
+            mono *= conj_powers[:, j, self._beta[:, j]]
+        return mono @ self._coeffs
 
 
 # -- finite-difference oracle ---------------------------------------------------

@@ -11,6 +11,7 @@ from crsphere import (
     SweepConfig,
     VERDICT_ALL_REGULAR,
     VERDICT_FAILURE,
+    VERDICT_MARGINAL,
     ar_det_sq_of_t,
     ar_determinant_profile,
     ar_embedding,
@@ -19,6 +20,7 @@ from crsphere import (
     local_minimize,
     make_negative_control,
     multistart_minimize,
+    point_report,
     sample_sphere,
     sigma_histogram,
     sweep,
@@ -94,6 +96,14 @@ class TestSweep:
         r1 = sweep(E, SweepConfig(samples=9_000, seed=5, workers=1))
         r4 = sweep(E, SweepConfig(samples=9_000, seed=5, workers=4))
         assert r1.dumps() == r4.dumps()
+
+    def test_threshold_near_margin_is_marginal(self):
+        E = ar_embedding()
+        first = sweep(E, SweepConfig(samples=2_000, seed=42))
+        tol = 0.5 * first.min_sigma / first.sigma_max_at_argmin
+        rep = sweep(E, SweepConfig(samples=2_000, seed=42, tol=tol))
+        assert rep.verdict == VERDICT_MARGINAL
+        assert point_report(E, rep.argmin_z, tol).marginal
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
 """Command-line workflows: construction, verification, minimization, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crsphere
 from crsphere import CertificateReport, GraphEmbedding
 from crsphere.cli import main
 
@@ -100,6 +104,19 @@ class TestVerify:
         bad.write_text("{broken")
         assert run("verify", str(bad), "--report", str(tmp_path / "r.json")) == 65
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("re", "1/0"), ("re", "1e400"), ("alpha", [1.5, 0])],
+        ids=["zero-denominator", "overflow", "fractional-exponent"],
+    )
+    def test_malformed_term_is_data_error(self, tmp_path, field, value):
+        emb = self._write_ar(tmp_path)
+        data = json.loads(emb.read_text())
+        data["f"][0]["terms"][0][field] = value
+        emb.write_text(json.dumps(data))
+        assert run("verify", str(emb), "--samples", "100",
+                   "--report", str(tmp_path / "r.json")) == 65
+
     def test_missing_embedding(self, tmp_path):
         assert run("verify", str(tmp_path / "nope.json"), "--report", str(tmp_path / "r.json")) == 65
 
@@ -168,3 +185,14 @@ class TestMinimize:
         rep = CertificateReport.loads(report.read_text())
         assert rep.objective == "det_sq"
         assert abs(rep.best_value - 1 / 9) < 1e-6
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(crsphere.__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import crsphere.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

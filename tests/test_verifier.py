@@ -240,6 +240,30 @@ class TestEquivalence:
         r = equivalence_check(make_negative_control("radial", 2), [1, 0])
         assert r.agree and not r.all_pass
 
+    @pytest.mark.parametrize(
+        "E",
+        [ar_embedding(), block_sum_embedding(2), make_negative_control("radial", 2)],
+        ids=lambda E: E.label,
+    )
+    def test_batch_matches_per_point_routes(self, E):
+        Z = sample_sphere(E.m, 50, 9)
+        for z, r in zip(Z, equivalence_check_many(E, Z)):
+            rep = point_report(E, z)
+            forms = [del_form(rho, eval_embedding(E, z)) for rho in defining_functions(E)]
+            assert r.z == tuple(z)
+            assert r.rank_pass == rep.cr_regular
+            assert r.sigma_min == pytest.approx(rep.sigma_min, rel=1e-12, abs=1e-15)
+            assert r.wedge_pass == wedge_nonzero(forms)
+            assert r.cr_dim == cr_dim_at(E, z)
+            assert r.expected_cr_dim == E.m - E.q - 1
+            assert r.tangent_pass == (r.cr_dim == r.expected_cr_dim)
+
+    def test_off_sphere_point_rejected(self):
+        Z = sample_sphere(2, 10, 3)
+        Z[4] *= 1.001
+        with pytest.raises(ValueError, match="off the unit sphere"):
+            equivalence_check_many(ar_embedding(), Z)
+
     def test_result_serializes(self):
         r = equivalence_check(ar_embedding(), [1, 0])
         d = r.to_json_dict()

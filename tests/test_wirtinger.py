@@ -8,9 +8,12 @@ import pytest
 
 from crsphere import (
     GR_I,
+    CompiledEvaluator,
     GaussianRational,
     WPolynomial,
-    eval_many,
+    ar_embedding,
+    block_sum_embedding,
+    defining_functions,
     make_ar_polynomial,
     wirtinger_fd,
 )
@@ -192,6 +195,16 @@ class TestDerivatives:
             assert p.d_z(j).conj() == p.conj().d_zbar(j)
 
 
+def _random_polys(m):
+    rng = np.random.default_rng(17)
+    return [random_wpoly(rng, m, unit_coeffs=False) for _ in range(5)]
+
+
+def _defining_differentials(E):
+    rhos = defining_functions(E)
+    return [r.d_z(j) for r in rhos for j in range(r.m)]
+
+
 class TestEvaluation:
     def test_ar_axis_values(self):
         P = make_ar_polynomial()
@@ -217,13 +230,30 @@ class TestEvaluation:
             rhs = a.eval(z) * b.eval(z)
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
-    def test_eval_many_matches_eval(self):
-        rng = np.random.default_rng(17)
-        p = random_wpoly(rng, 3, unit_coeffs=False)
-        Z = np.vstack([random_unit(rng, 3) for _ in range(32)])
-        batch = eval_many(p, Z)
-        for i in range(32):
-            assert abs(batch[i] - p.eval(Z[i])) < 1e-13
+    @pytest.mark.parametrize(
+        "polys",
+        [
+            pytest.param(_random_polys(3), id="random"),
+            pytest.param([WPolynomial.zero(2), WPolynomial.constant(2, GR(3, -1))],
+                         id="zero-and-constant"),
+            pytest.param([WPolynomial.zero(3)] * 4, id="all-zero"),
+            pytest.param([WPolynomial.monomial(2, (3, 0), (0, 7), GR(1, 1))
+                          + WPolynomial.monomial(2, (0, 1), (2, 0), 2)],
+                         id="exponent-gaps"),
+            pytest.param(_defining_differentials(ar_embedding()), id="rho-dz-ar"),
+            pytest.param(_defining_differentials(block_sum_embedding(2)), id="rho-dz-n2"),
+        ],
+    )
+    def test_compiled_evaluator_matches_eval(self, polys):
+        rng = np.random.default_rng(18)
+        m = polys[0].m
+        Z = np.vstack([random_unit(rng, m) for _ in range(32)])
+        batch = CompiledEvaluator(polys)(Z)
+        assert batch.shape == (32, len(polys))
+        for i, z in enumerate(Z):
+            for j, p in enumerate(polys):
+                ref = p.eval(z)
+                assert abs(batch[i, j] - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 class TestFiniteDifferenceOracle:
