@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .wirtinger import GR_I, GaussianRational, WPolynomial
+from .wirtinger import GR_I, GaussianRational, WPolynomial, json_int
 
 SPHERE_TOL = 1e-12
 
@@ -72,8 +72,8 @@ class GraphEmbedding:
     @staticmethod
     def from_json_dict(data: Mapping) -> "GraphEmbedding":
         return GraphEmbedding(
-            m=int(data["m"]),
-            q=int(data["q"]),
+            m=json_int(data["m"], "m"),
+            q=json_int(data["q"], "q"),
             f=tuple(WPolynomial.from_json_dict(d) for d in data["f"]),
             label=str(data["label"]),
         )

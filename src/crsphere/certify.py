@@ -15,6 +15,7 @@ A sampling sweep is evidence, not proof; the verdict vocabulary says
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,6 +43,11 @@ _CHUNK = 4096
 
 # size of the coarse scan whose argmin seeds multistart runs
 _COARSE_SCAN = 2048
+
+# Nelder-Mead iteration cap (function evaluations are capped at four times
+# it) and step tolerance of each local minimization
+_MAX_ITER = 2000
+_STEP_TOL = 1e-10
 
 OBJECTIVE_SIGMA_MIN_SQ = "sigma_min_sq"
 OBJECTIVE_DET_SQ = "det_sq"
@@ -172,25 +178,14 @@ def _verdict(any_failure: bool, any_marginal: bool) -> str:
 
 # -- sampling sweep ---------------------------------------------------------------
 
-def sweep(
-    E: GraphEmbedding, cfg: SweepConfig, points: np.ndarray | None = None
-) -> CertificateReport:
+def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
     """Evaluate the rank criterion at every sample; record the global margin.
 
-    ``points`` may supply a pre-generated sample array (it must equal
-    ``sample_sphere(E.m, cfg.samples, cfg.seed)``-style output of the right
-    shape); otherwise samples are generated from the config.  The result is
-    deterministic for a fixed config, independent of the worker count.
+    The samples are ``sample_sphere(E.m, cfg.samples, cfg.seed)``.  The
+    result is deterministic for a fixed config, independent of the worker
+    count.
     """
-    if points is None:
-        Z = sample_sphere(E.m, cfg.samples, cfg.seed)
-    else:
-        Z = np.asarray(points, dtype=np.complex128)
-        if Z.shape != (cfg.samples, E.m):
-            raise ValueError(
-                f"points shape {Z.shape} does not match (samples, m) = "
-                f"({cfg.samples}, {E.m})"
-            )
+    Z = sample_sphere(E.m, cfg.samples, cfg.seed)
     ev = IndependenceEvaluator(E)
     full_rank = E.q + 1
 
@@ -240,17 +235,11 @@ def sweep(
 @dataclass(frozen=True)
 class MinimizeOptions:
     objective: str = OBJECTIVE_SIGMA_MIN_SQ
-    max_iter: int = 2000
-    step_tol: float = 1e-10
     tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if self.objective not in (OBJECTIVE_SIGMA_MIN_SQ, OBJECTIVE_DET_SQ):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.step_tol <= 0:
-            raise ValueError("step_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -262,26 +251,27 @@ class LocalMinimum:
     start_value: float
 
 
-def _require_square(ev: IndependenceEvaluator, objective: str) -> None:
-    if objective == OBJECTIVE_DET_SQ and ev.q + 1 != ev.m:
-        raise ValueError(
-            "det_sq objective needs a square independence matrix (q+1 == m)"
-        )
+def _objective_values(
+    ev: IndependenceEvaluator, objective: str, Z: np.ndarray
+) -> np.ndarray:
+    """The degeneracy measure at each point, shape (n, m) -> (n,).
 
-
-def _objective_fn(ev: IndependenceEvaluator, objective: str):
-    _require_square(ev, objective)
+    ``np.hypot`` and ``np.float_power`` round like the scalar ``abs`` and
+    ``** 2`` of a single point (``np.abs`` and ``** 2`` on arrays take SIMD
+    kernels that can differ in the last bit), so a point's value, and the
+    Nelder-Mead path it steers, does not depend on the batch it is in.
+    """
+    M = ev.matrix_many(Z)
     if objective == OBJECTIVE_DET_SQ:
-        def f_det(z: np.ndarray) -> float:
-            return float(abs(np.linalg.det(ev.matrix_many(z[None, :])[0])) ** 2)
-
-        return f_det
-
-    def f_sigma(z: np.ndarray) -> float:
-        s = np.linalg.svd(ev.matrix_many(z[None, :])[0], compute_uv=False)
-        return float(s[-1] ** 2)
-
-    return f_sigma
+        if ev.q + 1 != ev.m:
+            raise ValueError(
+                "det_sq objective needs a square independence matrix (q+1 == m)"
+            )
+        det = np.linalg.det(M)
+        r = np.hypot(det.real, det.imag)
+    else:
+        r = np.linalg.svd(M, compute_uv=False)[:, -1]
+    return np.float_power(r, 2)
 
 
 def local_minimize(
@@ -302,13 +292,13 @@ def local_minimize(
     if len(z0v) != E.m:
         raise ValueError(f"start has length {len(z0v)}, expected {E.m}")
     ev = IndependenceEvaluator(E)
-    h = _objective_fn(ev, opts.objective)
 
     def chart_objective(x: np.ndarray) -> float:
-        n = np.linalg.norm(x)
+        n = math.sqrt(x.dot(x))  # np.linalg.norm's arithmetic, without its overhead
         if n < 1e-12:
             return np.inf
-        return h((x[: E.m] + 1j * x[E.m :]) / n)
+        z = (x[: E.m] + 1j * x[E.m :]) / n
+        return float(_objective_values(ev, opts.objective, z[None, :])[0])
 
     x0 = np.concatenate([z0v.real, z0v.imag])
     start_value = chart_objective(x0)
@@ -317,9 +307,9 @@ def local_minimize(
         x0,
         method="Nelder-Mead",
         options={
-            "maxiter": opts.max_iter,
-            "maxfev": 4 * opts.max_iter,
-            "xatol": opts.step_tol,
+            "maxiter": _MAX_ITER,
+            "maxfev": 4 * _MAX_ITER,
+            "xatol": _STEP_TOL,
             "fatol": np.inf,
         },
     )
@@ -339,30 +329,21 @@ def multistart_minimize(
     restarts: int,
     seed: int,
     opts: MinimizeOptions = MinimizeOptions(),
-    extra_starts: Sequence[Sequence[complex]] = (),
 ) -> CertificateReport:
     """Local minimization from seeded starts plus a coarse-scan argmin.
 
     Starts are the argmin of a fixed-size coarse objective scan over seeded
-    sphere samples, then the first ``restarts`` samples of the same stream,
-    then any ``extra_starts``.  Deterministic for fixed (restarts, seed).
+    sphere samples, then the first ``restarts`` samples of the same stream.
+    Deterministic for fixed (restarts, seed).
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     n_scan = max(_COARSE_SCAN, restarts)
     Z = sample_sphere(E.m, n_scan, seed)
-    ev = IndependenceEvaluator(E)
-
-    _require_square(ev, opts.objective)
-    if opts.objective == OBJECTIVE_DET_SQ:
-        scan_values = np.abs(np.linalg.det(ev.matrix_many(Z))) ** 2
-    else:
-        scan_values = ev.singular_values_many(Z)[:, -1] ** 2
+    scan_values = _objective_values(IndependenceEvaluator(E), opts.objective, Z)
     coarse_start = Z[int(np.argmin(scan_values))]
 
-    starts = [coarse_start] + [Z[i] for i in range(restarts)] + [
-        np.asarray(s, dtype=np.complex128) for s in extra_starts
-    ]
+    starts = [coarse_start] + [Z[i] for i in range(restarts)]
     minima = [local_minimize(E, s, opts) for s in starts]
     values = [lm.value for lm in minima]
     best_idx = int(np.argmin(values))

@@ -3,13 +3,15 @@ verify regularity by sampling, and hunt degeneracies by minimization.
 
 Exit codes: 0 success/verified, 1 identity failure, 2 regularity failure (or
 marginal verdict), 3 internal criterion disagreement, 64 usage errors,
-65 unreadable or malformed input files.
+65 unreadable or malformed input files, 70 internal faults (the traceback goes
+to standard error).
 
 Human-readable summaries go to standard output; machine artifacts (embedding
 files, reports, histograms) go to files.  Every output file has a sidecar
-``<name>.manifest.json`` recording the command, config echo, input hashes,
-tool version and wall time; the report itself stays byte-reproducible for
-identical flags, whatever the worker count.
+``<name>.manifest.json`` recording the command, every parsed flag, input
+hashes, tool version and wall time; ``main`` writes it after any normal
+return.  The report itself stays byte-reproducible for identical flags,
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+import traceback
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,6 +58,7 @@ EXIT_REGULARITY_FAILURE = 2
 EXIT_CRITERION_DISAGREEMENT = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,32 +69,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every output file."""
-
-    command: str
-    config: dict
-    inputs: dict = field(default_factory=dict)
-    tool_version: str = __version__
-    wall_time_s: float = 0.0
-
-    def write(self, out_path: Path) -> Path:
-        manifest_path = manifest_path_for(out_path)
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "inputs": self.inputs,
-            "tool_version": self.tool_version,
-            "wall_time_s": self.wall_time_s,
-            "for": out_path.name,
-        }
-        manifest_path.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        return manifest_path
-
-
 def manifest_path_for(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".manifest.json")
 
@@ -99,18 +77,39 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_manifest(args, wall_time_s: float) -> None:
+    """The reproducibility sidecar of the command's output file, if it wrote one."""
+    out = getattr(args, "out", None) or getattr(args, "report", None)
+    if out is None:
+        return
+    out = Path(out)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    embedding = getattr(args, "embedding", None)
+    payload = {
+        "command": args.command,
+        "config": config,
+        "inputs": {embedding: _sha256(Path(embedding))} if embedding else {},
+        "tool_version": __version__,
+        "wall_time_s": wall_time_s,
+        "for": out.name,
+    }
+    manifest_path_for(out).write_text(
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+
+
 def _load_embedding(path: str) -> GraphEmbedding:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise SystemExit_(EXIT_DATA, f"cannot read embedding file {path}: {exc}")
+        raise CliError(EXIT_DATA, f"cannot read embedding file {path}: {exc}")
     try:
         return GraphEmbedding.loads(text)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SystemExit_(EXIT_DATA, f"malformed embedding file {path}: {exc}")
+        raise CliError(EXIT_DATA, f"malformed embedding file {path}: {exc}")
 
 
-class SystemExit_(Exception):
+class CliError(Exception):
     """Internal control-flow error carrying an exit code and message."""
 
     def __init__(self, code: int, message: str):
@@ -122,26 +121,20 @@ class SystemExit_(Exception):
 # -- construct ---------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    t0 = time.perf_counter()
     if args.preset == "ar":
         E = ar_embedding()
     elif args.preset == "q-block":
         if args.n is None or args.n < 1:
-            raise SystemExit_(EXIT_USAGE, "--preset q-block needs --n >= 1")
+            raise CliError(EXIT_USAGE, "--preset q-block needs --n >= 1")
         E = block_sum_embedding(args.n)
     elif args.preset in NEGATIVE_CONTROL_KINDS:
         if args.m is None or args.m < 2:
-            raise SystemExit_(EXIT_USAGE, f"--preset {args.preset} needs --m >= 2")
+            raise CliError(EXIT_USAGE, f"--preset {args.preset} needs --m >= 2")
         E = make_negative_control(args.preset, args.m)
     else:  # unreachable behind argparse choices
-        raise SystemExit_(EXIT_USAGE, f"unknown preset {args.preset!r}")
+        raise CliError(EXIT_USAGE, f"unknown preset {args.preset!r}")
     out = Path(args.out)
     out.write_text(E.dumps() + "\n", encoding="utf-8")
-    RunManifest(
-        command="construct",
-        config={"preset": args.preset, "n": args.n, "m": args.m, "out": str(out)},
-        wall_time_s=time.perf_counter() - t0,
-    ).write(out)
     print(f"wrote {E.label}: S^{2 * E.m - 1} -> C^{E.m + E.q} ({out})")
     return EXIT_OK
 
@@ -149,7 +142,6 @@ def cmd_construct(args) -> int:
 # -- identity-check -----------------------------------------------------------------
 
 def cmd_identity_check(args) -> int:
-    t0 = time.perf_counter()
     perturbation = None
     if args.inject_fault:
         # nudge one coefficient of the closed form; the check must catch it
@@ -157,7 +149,6 @@ def cmd_identity_check(args) -> int:
             2, (0, 2), (0, 2), Fraction(1, 1_000_000)
         )
     result = verify_ar_identity(rhs_perturbation=perturbation)
-    wall = time.perf_counter() - t0
     print(f"lhs ({len(result.lhs)} terms):      {result.lhs}")
     print(f"rhs ({len(result.rhs)} terms):      {result.rhs}")
     print(f"residual ({len(result.residual)} terms): {result.residual}")
@@ -173,27 +164,23 @@ def cmd_identity_check(args) -> int:
         out.write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-        RunManifest(
-            command="identity-check",
-            config={"inject_fault": bool(args.inject_fault), "report": str(out)},
-            wall_time_s=wall,
-        ).write(out)
     return EXIT_OK if result.holds else EXIT_IDENTITY_FAILURE
 
 
 # -- verify --------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
     E = _load_embedding(args.embedding)
     cfg = SweepConfig(
         samples=args.samples, seed=args.seed, tol=args.tol, workers=args.workers
     )
-    Z = sample_sphere(E.m, cfg.samples, cfg.seed)
-    report = sweep(E, cfg, points=Z)
+    report = sweep(E, cfg)
 
+    # spot checks on the sweep's first samples (the stream is prefix-stable)
     spot = max(1, cfg.samples // 100)
-    eq_results = equivalence_check_many(E, Z[:spot], cfg.tol)
+    eq_results = equivalence_check_many(
+        E, sample_sphere(E.m, spot, cfg.seed), cfg.tol
+    )
     disagreements = [r for r in eq_results if not r.agree]
     report.extras["equivalence"] = {
         "spot_checks": spot,
@@ -206,20 +193,6 @@ def cmd_verify(args) -> int:
     if args.hist:
         edges, counts = sigma_histogram(report.sigma_min_samples)
         write_histogram_csv(args.hist, edges, counts)
-    RunManifest(
-        command="verify",
-        config={
-            "embedding": args.embedding,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "tol": cfg.tol,
-            "workers": args.workers,
-            "report": str(out),
-            "hist": args.hist,
-        },
-        inputs={args.embedding: _sha256(Path(args.embedding))},
-        wall_time_s=time.perf_counter() - t0,
-    ).write(out)
 
     print(
         f"{E.label}: verdict {report.verdict}; min sigma_min "
@@ -238,19 +211,13 @@ def cmd_verify(args) -> int:
 # -- minimize -------------------------------------------------------------------------
 
 def cmd_minimize(args) -> int:
-    t0 = time.perf_counter()
     if args.restarts < 1:
-        raise SystemExit_(EXIT_USAGE, "--restarts must be >= 1")
+        raise CliError(EXIT_USAGE, "--restarts must be >= 1")
     E = _load_embedding(args.embedding)
     objective = (
         OBJECTIVE_DET_SQ if args.objective == "det" else OBJECTIVE_SIGMA_MIN_SQ
     )
-    opts = MinimizeOptions(
-        objective=objective,
-        max_iter=args.max_iter,
-        step_tol=args.step_tol,
-        tol=args.tol,
-    )
+    opts = MinimizeOptions(objective=objective, tol=args.tol)
     report = multistart_minimize(E, args.restarts, args.seed, opts)
 
     if is_ar_embedding(E):
@@ -272,21 +239,6 @@ def cmd_minimize(args) -> int:
     out = Path(args.report)
     report.extras["manifest_file"] = manifest_path_for(out).name
     out.write_text(report.dumps() + "\n", encoding="utf-8")
-    RunManifest(
-        command="minimize",
-        config={
-            "embedding": args.embedding,
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "tol": args.tol,
-            "objective": args.objective,
-            "max_iter": args.max_iter,
-            "step_tol": args.step_tol,
-            "report": str(out),
-        },
-        inputs={args.embedding: _sha256(Path(args.embedding))},
-        wall_time_s=time.perf_counter() - t0,
-    ).write(out)
 
     print(
         f"{E.label}: best {objective} = {report.best_value:.6e} at "
@@ -355,8 +307,6 @@ def build_parser() -> _Parser:
         "--objective", choices=("sigma", "det"), default="sigma",
         help="sigma: smallest singular value squared; det: |det|^2 (square case)",
     )
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--step-tol", type=float, default=1e-10)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_minimize)
 
@@ -366,14 +316,20 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except SystemExit_ as exc:
+        code = args.func(args)
+        _write_manifest(args, time.perf_counter() - t0)
+        return code
+    except CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

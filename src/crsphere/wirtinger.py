@@ -399,7 +399,7 @@ class WPolynomial:
     @staticmethod
     def from_json_dict(data: Mapping) -> "WPolynomial":
         """Parse the serialized form strictly; malformed terms raise ValueError."""
-        m = int(data["m"])
+        m = json_int(data["m"], "m")
         terms = [
             (
                 (_json_exponents(t["alpha"]), _json_exponents(t["beta"])),
@@ -426,10 +426,15 @@ def _raw(m: int, terms: dict[Key, GaussianRational]) -> WPolynomial:
     return p
 
 
+def json_int(value, name: str) -> int:
+    """A field that must be a JSON integer (not a float, string or boolean)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _json_exponents(values: Sequence) -> tuple[int, ...]:
-    if any(type(e) is not int for e in values):
-        raise ValueError(f"exponents must be integers, got {values!r}")
-    return tuple(values)
+    return tuple(json_int(e, "exponents") for e in values)
 
 
 def _json_rational(text) -> Fraction:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crsphere import certify
 from crsphere import (
     CertificateReport,
     IndependenceEvaluator,
@@ -111,10 +112,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(tol=0.0)
 
-    def test_points_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            sweep(ar_embedding(), SweepConfig(samples=10, seed=1), points=np.zeros((5, 2)))
-
 
 class TestWorkerCount:
     def test_explicit_wins(self):
@@ -156,6 +153,12 @@ class TestLocalMinimize:
         with pytest.raises(ValueError, match="objective"):
             MinimizeOptions(objective="gradient")
 
+    def test_iteration_cap_returns_best_so_far(self, monkeypatch):
+        monkeypatch.setattr(certify, "_MAX_ITER", 5)
+        lm = local_minimize(ar_embedding(), [1, 0])
+        assert not lm.converged
+        assert lm.value <= lm.start_value
+
 
 class TestMultistart:
     def test_reaches_global_sigma_min(self):
@@ -195,6 +198,13 @@ class TestMultistart:
         a = multistart_minimize(ar_embedding(), 4, 11)
         b = multistart_minimize(ar_embedding(), 4, 11)
         assert a.dumps() == b.dumps()
+
+    def test_capped_restarts_counted_not_listed(self, monkeypatch):
+        monkeypatch.setattr(certify, "_MAX_ITER", 5)
+        rep = multistart_minimize(ar_embedding(), 2, 42)
+        # the coarse-scan start plus two restarts, none within the cap
+        assert rep.extras["unconverged_restarts"] == 3
+        assert rep.converged_minima == ()
 
     def test_restart_validation(self):
         with pytest.raises(ValueError, match="restarts"):

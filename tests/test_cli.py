@@ -1,5 +1,6 @@
 """Command-line workflows: construction, verification, minimization, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,12 +9,20 @@ from pathlib import Path
 import pytest
 
 import crsphere
-from crsphere import CertificateReport, GraphEmbedding
+from crsphere import CertificateReport, GraphEmbedding, RankToleranceError, certify
 from crsphere.cli import main
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def manifest_of(out: Path) -> dict:
+    return json.loads(out.with_name(out.name + ".manifest.json").read_text())
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestConstruct:
@@ -52,6 +61,8 @@ class TestConstruct:
         assert manifest["command"] == "construct"
         assert manifest["for"] == "ar.json"
         assert "tool_version" in manifest
+        assert manifest["config"] == {"preset": "ar", "n": None, "m": None, "out": str(out)}
+        assert manifest["inputs"] == {}
 
 
 class TestIdentityCheck:
@@ -72,6 +83,15 @@ class TestIdentityCheck:
         payload = json.loads(report.read_text())
         assert payload["holds"] is True
         assert payload["residual"]["terms"] == []
+        manifest = manifest_of(report)
+        assert manifest["command"] == "identity-check"
+        assert manifest["config"] == {"inject_fault": False, "report": str(report)}
+        assert manifest["inputs"] == {}
+
+    def test_no_report_no_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("identity-check") == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:
@@ -90,6 +110,46 @@ class TestVerify:
         assert rep.extras["equivalence"]["disagreements"] == []
         assert "0 disagreements" in capsys.readouterr().out
 
+    def test_manifest(self, tmp_path):
+        emb = self._write_ar(tmp_path)
+        report = tmp_path / "rep.json"
+        assert run("verify", str(emb), "--samples", "1000", "--seed", "7",
+                   "--workers", "2", "--report", str(report)) == 0
+        manifest = manifest_of(report)
+        assert manifest["command"] == "verify"
+        assert manifest["for"] == "rep.json"
+        assert manifest["config"] == {
+            "embedding": str(emb), "samples": 1000, "seed": 7, "tol": 1e-8,
+            "workers": 2, "report": str(report), "hist": None,
+        }
+        assert manifest["inputs"] == {str(emb): sha256_of(emb)}
+
+    def test_failure_manifest(self, tmp_path):
+        emb = tmp_path / "holo.json"
+        run("construct", "--preset", "holomorphic", "--m", "2", "--out", str(emb))
+        report = tmp_path / "rep.json"
+        hist = tmp_path / "h.csv"
+        assert run("verify", str(emb), "--samples", "500", "--tol", "1e-6",
+                   "--report", str(report), "--hist", str(hist)) == 2
+        manifest = manifest_of(report)
+        assert manifest["config"] == {
+            "embedding": str(emb), "samples": 500, "seed": 42, "tol": 1e-6,
+            "workers": None, "report": str(report), "hist": str(hist),
+        }
+        assert manifest["inputs"] == {str(emb): sha256_of(emb)}
+
+    def test_internal_fault_exits_70(self, tmp_path, monkeypatch, capsys):
+        emb = self._write_ar(tmp_path)
+
+        def broken_sweep(E, cfg):
+            raise RankToleranceError("injected fault")
+
+        monkeypatch.setattr("crsphere.cli.sweep", broken_sweep)
+        report = tmp_path / "r.json"
+        assert run("verify", str(emb), "--samples", "100", "--report", str(report)) == 70
+        assert "RankToleranceError: injected fault" in capsys.readouterr().err
+        assert not (tmp_path / "r.json.manifest.json").exists()
+
     def test_control_fails_with_witness(self, tmp_path, capsys):
         emb = tmp_path / "holo.json"
         run("construct", "--preset", "holomorphic", "--m", "2", "--out", str(emb))
@@ -103,6 +163,7 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert run("verify", str(bad), "--report", str(tmp_path / "r.json")) == 65
+        assert list(tmp_path.iterdir()) == [bad]  # no report, no manifest
 
     @pytest.mark.parametrize(
         "field, value",
@@ -113,6 +174,20 @@ class TestVerify:
         emb = self._write_ar(tmp_path)
         data = json.loads(emb.read_text())
         data["f"][0]["terms"][0][field] = value
+        emb.write_text(json.dumps(data))
+        assert run("verify", str(emb), "--samples", "100",
+                   "--report", str(tmp_path / "r.json")) == 65
+
+    @pytest.mark.parametrize(
+        "poly_m, fields",
+        [(2, {"m": 2.7, "q": 1.9}), (2, {"q": "1"}), (2.0, {})],
+        ids=["fractional-m-q", "string-q", "float-polynomial-m"],
+    )
+    def test_non_integer_dimension_is_data_error(self, tmp_path, poly_m, fields):
+        emb = self._write_ar(tmp_path)
+        data = json.loads(emb.read_text())
+        data.update(fields)
+        data["f"][0]["m"] = poly_m
         emb.write_text(json.dumps(data))
         assert run("verify", str(emb), "--samples", "100",
                    "--report", str(tmp_path / "r.json")) == 65
@@ -169,6 +244,36 @@ class TestMinimize:
         rep = CertificateReport.loads(report.read_text())
         assert rep.best_value <= 1e-18
         assert rep.verdict == "failure-found"
+
+    def test_manifest(self, tmp_path):
+        emb = tmp_path / "ar.json"
+        run("construct", "--preset", "ar", "--out", str(emb))
+        report = tmp_path / "min.json"
+        assert run("minimize", str(emb), "--restarts", "2", "--seed", "3",
+                   "--objective", "det", "--report", str(report)) == 0
+        manifest = manifest_of(report)
+        assert manifest["command"] == "minimize"
+        assert manifest["config"] == {
+            "embedding": str(emb), "restarts": 2, "seed": 3, "tol": 1e-8,
+            "objective": "det", "report": str(report),
+        }
+        assert manifest["inputs"] == {str(emb): sha256_of(emb)}
+
+    def test_iteration_cap_warning(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(certify, "_MAX_ITER", 5)
+        emb = tmp_path / "ar.json"
+        run("construct", "--preset", "ar", "--out", str(emb))
+        assert run("minimize", str(emb), "--restarts", "2",
+                   "--report", str(tmp_path / "min.json")) == 0
+        assert "warning: 3 restart(s) hit the iteration cap" in capsys.readouterr().out
+
+    def test_removed_iteration_flags_are_usage_errors(self, tmp_path):
+        emb = tmp_path / "ar.json"
+        run("construct", "--preset", "ar", "--out", str(emb))
+        for flag, value in (("--max-iter", "5"), ("--step-tol", "1e-3")):
+            with pytest.raises(SystemExit) as exc:
+                run("minimize", str(emb), flag, value, "--report", str(tmp_path / "r.json"))
+            assert exc.value.code == 64
 
     def test_zero_restarts_usage_error(self, tmp_path):
         emb = tmp_path / "ar.json"
