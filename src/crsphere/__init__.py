@@ -21,15 +21,11 @@ from .wirtinger import (
     CompiledEvaluator,
     GaussianRational,
     GR_I,
-    GR_ONE,
-    GR_ZERO,
     WPolynomial,
     wirtinger_fd,
 )
 from .catalog import (
-    ArIdentityResult,
     GraphEmbedding,
-    NEGATIVE_CONTROL_KINDS,
     ar_embedding,
     block_sum_embedding,
     block_support_ok,
@@ -39,16 +35,11 @@ from .catalog import (
     make_block_sum,
     make_graph_embedding,
     make_negative_control,
-    require_on_sphere,
     restrict_to_block,
-    sphere_defect,
     verify_ar_identity,
 )
 from .verifier import (
-    DEFAULT_RANK_TOL,
-    EquivalenceResult,
     IndependenceEvaluator,
-    IndependenceReport,
     OneForm,
     RankToleranceError,
     TwoForm,
@@ -59,17 +50,14 @@ from .verifier import (
     equivalence_check_many,
     independence_matrix,
     two_form_identity_check,
-    numerical_rank,
     point_report,
     wedge,
     wedge_nonzero,
 )
 from .certify import (
     CertificateReport,
-    LocalMinimum,
     MinimizeOptions,
     OBJECTIVE_DET_SQ,
-    OBJECTIVE_SIGMA_MIN_SQ,
     SweepConfig,
     VERDICT_ALL_REGULAR,
     VERDICT_FAILURE,
@@ -89,24 +77,19 @@ from .certify import (
 __all__ = [
     "__version__",
     # wirtinger
-    "CompiledEvaluator", "GaussianRational", "GR_I", "GR_ONE", "GR_ZERO",
-    "WPolynomial", "wirtinger_fd",
+    "CompiledEvaluator", "GaussianRational", "GR_I", "WPolynomial", "wirtinger_fd",
     # catalog
-    "ArIdentityResult", "GraphEmbedding", "NEGATIVE_CONTROL_KINDS",
-    "ar_embedding", "block_sum_embedding", "block_support_ok",
+    "GraphEmbedding", "ar_embedding", "block_sum_embedding", "block_support_ok",
     "catalog_embeddings", "eval_embedding", "make_ar_polynomial",
     "make_block_sum", "make_graph_embedding", "make_negative_control",
-    "require_on_sphere", "restrict_to_block", "sphere_defect",
-    "verify_ar_identity",
+    "restrict_to_block", "verify_ar_identity",
     # verifier
-    "DEFAULT_RANK_TOL", "EquivalenceResult", "IndependenceEvaluator",
-    "IndependenceReport", "OneForm", "RankToleranceError", "TwoForm",
+    "IndependenceEvaluator", "OneForm", "RankToleranceError", "TwoForm",
     "cr_dim_at", "defining_functions", "del_form", "equivalence_check",
     "equivalence_check_many", "independence_matrix", "two_form_identity_check",
-    "numerical_rank", "point_report", "wedge", "wedge_nonzero",
+    "point_report", "wedge", "wedge_nonzero",
     # certify
-    "CertificateReport", "LocalMinimum", "MinimizeOptions",
-    "OBJECTIVE_DET_SQ", "OBJECTIVE_SIGMA_MIN_SQ", "SweepConfig",
+    "CertificateReport", "MinimizeOptions", "OBJECTIVE_DET_SQ", "SweepConfig",
     "VERDICT_ALL_REGULAR", "VERDICT_FAILURE", "VERDICT_MARGINAL",
     "ar_det_sq_of_t", "ar_determinant_profile", "is_ar_embedding",
     "local_minimize", "multistart_minimize", "sample_sphere",

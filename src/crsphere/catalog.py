@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .wirtinger import GR_I, GaussianRational, WPolynomial, json_int
+from .wirtinger import GR_I, WPolynomial, json_int
 
 SPHERE_TOL = 1e-12
 
@@ -29,13 +29,19 @@ def sphere_defect(z: Sequence[complex]) -> float | np.ndarray:
     return np.abs(np.linalg.norm(np.asarray(z, dtype=np.complex128), axis=-1) - 1.0)
 
 
-def require_on_sphere(z: Sequence[complex], tol: float = SPHERE_TOL) -> np.ndarray:
-    """The point (or stack of points) as a complex array; raises if any is off the sphere."""
+def require_on_sphere(z: Sequence[complex], m: int) -> np.ndarray:
+    """The point (or stack of points) of C^m as a complex array.
+
+    Raises ValueError if the last axis does not have length m or any point is
+    off the unit sphere by more than SPHERE_TOL.
+    """
     zv = np.asarray(z, dtype=np.complex128)
+    if zv.shape[-1:] != (m,):
+        raise ValueError(f"point has shape {zv.shape}, expected length {m}")
     defect = float(np.max(sphere_defect(zv), initial=0.0))
-    if defect > tol:
+    if defect > SPHERE_TOL:
         raise ValueError(
-            f"point is off the unit sphere: | ||z|| - 1 | = {defect:.3e} > {tol:.1e}"
+            f"point is off the unit sphere: | ||z|| - 1 | = {defect:.3e} > {SPHERE_TOL:.1e}"
         )
     return zv
 
@@ -101,22 +107,16 @@ def make_block_sum(n: int) -> WPolynomial:
     """Sum of Ahern-Rudin quartics over n disjoint coordinate pairs (2n variables)."""
     if n < 1:
         raise ValueError(f"block count must be >= 1, got {n}")
-    m = 2 * n
-    terms = {}
-    for k in range(n):
-        a1 = [0] * m
-        b1 = [0] * m
-        a1[2 * k + 1] = 1
-        b1[2 * k] = 1
-        b1[2 * k + 1] = 2
-        terms[(tuple(a1), tuple(b1))] = GaussianRational.of(1)
-        a2 = [0] * m
-        b2 = [0] * m
-        a2[2 * k] = 1
-        b2[2 * k] = 2
-        b2[2 * k + 1] = 1
-        terms[(tuple(a2), tuple(b2))] = GR_I
-    return WPolynomial(m, terms)
+    P = make_ar_polynomial()
+    return sum((P.shifted(2 * n, 2 * k) for k in range(n)), WPolynomial.zero(2 * n))
+
+
+def norm_sq(m: int) -> WPolynomial:
+    """|z|^2 = sum_k z_k zbar_k in m variables."""
+    return sum(
+        (WPolynomial.variable(m, k) * WPolynomial.conj_variable(m, k) for k in range(m)),
+        WPolynomial.zero(m),
+    )
 
 
 def make_graph_embedding(
@@ -155,16 +155,7 @@ def make_negative_control(kind: str, m: int) -> GraphEmbedding:
     elif kind == "zero":
         f = WPolynomial.zero(m)
     elif kind == "radial":
-        f = WPolynomial(
-            m,
-            {
-                (
-                    tuple(1 if i == k else 0 for i in range(m)),
-                    tuple(1 if i == k else 0 for i in range(m)),
-                ): 1
-                for k in range(m)
-            },
-        )
+        f = norm_sq(m)
     else:
         raise ValueError(
             f"unknown control kind {kind!r}; expected one of {NEGATIVE_CONTROL_KINDS}"
@@ -174,9 +165,7 @@ def make_negative_control(kind: str, m: int) -> GraphEmbedding:
 
 def eval_embedding(E: GraphEmbedding, z: Sequence[complex]) -> np.ndarray:
     """Image point (z, f_1(z), ..., f_q(z)); input must lie on the unit sphere."""
-    zv = require_on_sphere(z)
-    if len(zv) != E.m:
-        raise ValueError(f"point has length {len(zv)}, expected {E.m}")
+    zv = require_on_sphere(z, E.m)
     return np.concatenate([zv, np.array([fj.eval(zv) for fj in E.f])])
 
 

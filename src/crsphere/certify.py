@@ -36,8 +36,6 @@ VERDICT_ALL_REGULAR = "all-regular (sampled)"
 VERDICT_MARGINAL = "marginal"
 VERDICT_FAILURE = "failure-found"
 
-WORKERS_ENV_VAR = "CRSPHERE_WORKERS"
-
 # fixed chunk size: results must not depend on how chunks are scheduled
 _CHUNK = 4096
 
@@ -54,14 +52,11 @@ OBJECTIVE_DET_SQ = "det_sq"
 
 
 def worker_count(explicit: int | None = None) -> int:
-    """Resolve the parallelism hint: explicit value, else env override, else CPUs."""
+    """Resolve the parallelism hint: the explicit value, else the CPU count."""
     if explicit is not None:
         if explicit < 1:
             raise ValueError(f"worker count must be >= 1, got {explicit}")
         return explicit
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -288,9 +283,7 @@ def local_minimize(
     # the only scipy user: imported here so the CLI's other commands load without it
     from scipy.optimize import minimize
 
-    z0v = require_on_sphere(z0)
-    if len(z0v) != E.m:
-        raise ValueError(f"start has length {len(z0v)}, expected {E.m}")
+    z0v = require_on_sphere(z0, E.m)
     ev = IndependenceEvaluator(E)
 
     def chart_objective(x: np.ndarray) -> float:

@@ -21,13 +21,12 @@ any disagreement as an internal inconsistency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .catalog import GraphEmbedding, require_on_sphere
-from .wirtinger import CompiledEvaluator, GaussianRational, WPolynomial
+from .catalog import GraphEmbedding, norm_sq, require_on_sphere
+from .wirtinger import CompiledEvaluator, WPolynomial
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -157,9 +156,7 @@ class IndependenceEvaluator:
 
 def independence_matrix(E: GraphEmbedding, z: Sequence[complex]) -> np.ndarray:
     """Rows: z, then df_j/dzbar(z) for each graph function.  Shape (q+1, m)."""
-    zv = require_on_sphere(z)
-    if len(zv) != E.m:
-        raise ValueError(f"point has length {len(zv)}, expected {E.m}")
+    zv = require_on_sphere(z, E.m)
     return IndependenceEvaluator(E).matrix_many(zv[None, :])[0]
 
 
@@ -211,25 +208,14 @@ def point_report(
 def defining_functions(E: GraphEmbedding) -> list[WPolynomial]:
     """The 2q+1 real polynomials in m+q variables cutting out the embedded graph.
 
-    First the sphere equation -1 + sum_k z_k zbar_k, then for each graph
-    function the real and imaginary parts of z_{m+j} - f_j, extracted exactly
-    via u = (g + conj g)/2 and v = (g - conj g)/(2i).
+    First the sphere equation |z|^2 - 1, then for each graph function the
+    exact real and imaginary parts of z_{m+j} - f_j.
     """
     mq = E.m + E.q
-    zeros = (0,) * mq
-    sphere_terms = {(zeros, zeros): GaussianRational.of(-1)}
-    for k in range(E.m):
-        e = tuple(1 if i == k else 0 for i in range(mq))
-        sphere_terms[(e, e)] = GaussianRational.of(1)
-    rhos = [WPolynomial(mq, sphere_terms)]
-    half = Fraction(1, 2)
-    minus_half_i = GaussianRational.of(0, Fraction(-1, 2))  # 1/(2i)
+    rhos = [(norm_sq(E.m) - WPolynomial.constant(E.m, 1)).shifted(mq, 0)]
     for j, fj in enumerate(E.f):
-        g = WPolynomial.variable(mq, E.m + j) - fj.pad_to(mq)
-        u = (g + g.conj()) * half
-        v = (g - g.conj()) * minus_half_i
-        assert u.is_real() and v.is_real()
-        rhos.extend([u, v])
+        g = WPolynomial.variable(mq, E.m + j) - fj.shifted(mq, 0)
+        rhos.extend(g.real_imag())
     return rhos
 
 
@@ -280,9 +266,7 @@ def cr_dim_at(
     oracle: it never touches the independence matrix or the defining
     functions.
     """
-    zv = require_on_sphere(z)
-    if len(zv) != E.m:
-        raise ValueError(f"point has length {len(zv)}, expected {E.m}")
+    zv = require_on_sphere(z, E.m)
     return int(_tangent_cr_dims(E, zv[None, :], tol)[0])
 
 
@@ -298,9 +282,7 @@ def two_form_identity_check(f: WPolynomial, w: Sequence[complex]) -> float:
     wv = np.asarray(w, dtype=np.complex128)
     if len(wv) != f.m:
         raise ValueError(f"point has length {len(wv)}, expected {f.m}")
-    half = Fraction(1, 2)
-    u = (f + f.conj()) * half
-    v = (f - f.conj()) * GaussianRational.of(0, Fraction(-1, 2))
+    u, v = f.real_imag()
     lhs = wedge(del_form(u, wv), del_form(v, wv))
     df = OneForm(np.array([f.d_z(j).eval(wv) for j in range(f.m)]))
     dbar_conj = OneForm(
@@ -358,10 +340,9 @@ def equivalence_check_many(
     E: GraphEmbedding, points: np.ndarray, tol: float = DEFAULT_RANK_TOL
 ) -> list[EquivalenceResult]:
     """All three criteria at a batch of points, each route batched over the points."""
-    Z = np.asarray(points, dtype=np.complex128)
-    if Z.ndim != 2 or Z.shape[1] != E.m:
+    Z = require_on_sphere(points, E.m)
+    if Z.ndim != 2:
         raise ValueError(f"expected shape (n, {E.m}), got {Z.shape}")
-    require_on_sphere(Z)
 
     s = IndependenceEvaluator(E).singular_values_many(Z)
     rank_pass = numerical_rank(s, tol) == E.q + 1

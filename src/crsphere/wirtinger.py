@@ -34,6 +34,10 @@ import numpy as np
 RationalLike = Union[int, Fraction]
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
+# bounds on a polynomial read from JSON: total degree and term count
+MAX_DEGREE = 64
+MAX_TERMS = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class GaussianRational:
@@ -48,30 +52,26 @@ class GaussianRational:
 
     @staticmethod
     def coerce(value: "GaussianRational | RationalLike") -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value), Fraction(0))
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        g = _as_gaussian(value)
+        if g is None:
+            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        return g
 
     def __add__(self, other: "GaussianRational | RationalLike"):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational.of(other)
-        if not isinstance(other, GaussianRational):
+        other = _as_gaussian(other)
+        if other is None:
             return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational | RationalLike"):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational.of(other)
-        if not isinstance(other, GaussianRational):
+        other = _as_gaussian(other)
+        if other is None:
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "GaussianRational | RationalLike"):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational.of(other)
-        if not isinstance(other, GaussianRational):
+        other = _as_gaussian(other)
+        if other is None:
             return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
@@ -103,6 +103,15 @@ class GaussianRational:
         mag = abs(self.im)
         istr = "i" if mag == 1 else f"{mag}i"
         return f"({self.re}{sign}{istr})"
+
+
+def _as_gaussian(value) -> GaussianRational | None:
+    """An int, Fraction or GaussianRational as a GaussianRational; None otherwise."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(Fraction(value), Fraction(0))
+    return None
 
 
 GR_ZERO = GaussianRational.of(0)
@@ -141,14 +150,7 @@ class WPolynomial:
                 )
             if any(e < 0 for e in alpha) or any(e < 0 for e in beta):
                 raise ValueError(f"negative exponent in ({alpha}, {beta})")
-            c = GaussianRational.coerce(coeff)
-            key = (alpha, beta)
-            acc = canon.get(key)
-            c = c if acc is None else acc + c
-            if c:
-                canon[key] = c
-            elif key in canon:
-                del canon[key]
+            _accumulate(canon, (alpha, beta), GaussianRational.coerce(coeff))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_terms", canon)
 
@@ -253,12 +255,7 @@ class WPolynomial:
         self._require_same_m(other)
         out = dict(self._terms)
         for key, c in other._terms.items():
-            acc = out.get(key)
-            s = c if acc is None else acc + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            _accumulate(out, key, c)
         return _raw(self.m, out)
 
     def __sub__(self, other: "WPolynomial") -> "WPolynomial":
@@ -279,13 +276,7 @@ class WPolynomial:
                         tuple(x + y for x, y in zip(a1, a2)),
                         tuple(x + y for x, y in zip(b1, b2)),
                     )
-                    c = c1 * c2
-                    acc = out.get(key)
-                    c = c if acc is None else acc + c
-                    if c:
-                        out[key] = c
-                    elif key in out:
-                        del out[key]
+                    _accumulate(out, key, c1 * c2)
             return _raw(self.m, out)
         scalar = GaussianRational.coerce(other)
         if not scalar:
@@ -308,42 +299,31 @@ class WPolynomial:
         """True iff the polynomial equals its own conjugate."""
         return self.conj() == self
 
+    def real_imag(self) -> tuple["WPolynomial", "WPolynomial"]:
+        """The real polynomials u = (p + conj p)/2 and v = (p - conj p)/(2i), so p = u + i*v."""
+        c = self.conj()
+        u = (self + c) * Fraction(1, 2)
+        v = (self - c) * GaussianRational.of(0, Fraction(-1, 2))  # 1/(2i)
+        return u, v
+
     def d_z(self, j: int) -> "WPolynomial":
         """Formal partial derivative with respect to z_j (0-based)."""
-        _check_index(self.m, j)
-        out: dict[Key, GaussianRational] = {}
-        for (alpha, beta), c in self._terms.items():
-            e = alpha[j]
-            if e == 0:
-                continue
-            a = alpha[:j] + (e - 1,) + alpha[j + 1:]
-            key = (a, beta)
-            d = c * GaussianRational.of(e)
-            acc = out.get(key)
-            d = d if acc is None else acc + d
-            if d:
-                out[key] = d
-            elif key in out:
-                del out[key]
-        return _raw(self.m, out)
+        return self._derivative(j, 0)
 
     def d_zbar(self, j: int) -> "WPolynomial":
         """Formal partial derivative with respect to zbar_j (0-based)."""
+        return self._derivative(j, 1)
+
+    def _derivative(self, j: int, side: int) -> "WPolynomial":
+        """d/dz_j (side 0) or d/dzbar_j (side 1): lower that exponent, scale by it."""
         _check_index(self.m, j)
         out: dict[Key, GaussianRational] = {}
         for (alpha, beta), c in self._terms.items():
-            e = beta[j]
-            if e == 0:
-                continue
-            b = beta[:j] + (e - 1,) + beta[j + 1:]
-            key = (alpha, b)
-            d = c * GaussianRational.of(e)
-            acc = out.get(key)
-            d = d if acc is None else acc + d
-            if d:
-                out[key] = d
-            elif key in out:
-                del out[key]
+            exps = beta if side else alpha
+            e = exps[j]
+            if e:
+                lowered = exps[:j] + (e - 1,) + exps[j + 1:]
+                _accumulate(out, (alpha, lowered) if side else (lowered, beta), c * e)
         return _raw(self.m, out)
 
     # -- evaluation ---------------------------------------------------------
@@ -368,16 +348,17 @@ class WPolynomial:
 
     # -- reshaping -----------------------------------------------------------
 
-    def pad_to(self, m_new: int) -> "WPolynomial":
-        """Reinterpret over a larger variable set; new variables get exponent 0."""
-        if m_new < self.m:
-            raise ValueError(f"cannot shrink from {self.m} to {m_new} variables")
-        if m_new == self.m:
-            return self
-        ext = (0,) * (m_new - self.m)
+    def shifted(self, m_new: int, offset: int) -> "WPolynomial":
+        """The same polynomial over m_new variables, z_k becoming z_{k+offset}."""
+        if not 0 <= offset <= m_new - self.m:
+            raise ValueError(
+                f"offset {offset} out of range for {self.m} variables among {m_new}"
+            )
+        lead = (0,) * offset
+        tail = (0,) * (m_new - self.m - offset)
         return _raw(
             m_new,
-            {(a + ext, b + ext): c for (a, b), c in self._terms.items()},
+            {(lead + a + tail, lead + b + tail): c for (a, b), c in self._terms.items()},
         )
 
     # -- serialization --------------------------------------------------------
@@ -398,7 +379,7 @@ class WPolynomial:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "WPolynomial":
-        """Parse the serialized form strictly; malformed terms raise ValueError."""
+        """Parse the serialized form strictly; malformed or oversized terms raise ValueError."""
         m = json_int(data["m"], "m")
         terms = [
             (
@@ -408,7 +389,19 @@ class WPolynomial:
             for t in data["terms"]
         ]
         # constructor merges duplicates and drops zeros
-        return WPolynomial(m, terms)
+        p = WPolynomial(m, terms)
+        if p.degree > MAX_DEGREE:
+            raise ValueError(f"degree {p.degree} exceeds the limit {MAX_DEGREE}")
+        if len(p) > MAX_TERMS:
+            raise ValueError(f"{len(p)} terms exceed the limit {MAX_TERMS}")
+        for c in p.terms.values():
+            try:  # a first derivative scales a coefficient by at most the degree
+                complex(c * MAX_DEGREE)
+            except OverflowError:
+                raise ValueError(
+                    f"coefficient {c} is too large: {MAX_DEGREE} times it overflows a float"
+                ) from None
+        return p
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
@@ -416,6 +409,16 @@ class WPolynomial:
     @staticmethod
     def loads(text: str) -> "WPolynomial":
         return WPolynomial.from_json_dict(json.loads(text))
+
+
+def _accumulate(out: dict[Key, GaussianRational], key: Key, c: GaussianRational) -> None:
+    """Add c to the coefficient of ``key`` in ``out``, dropping the term if it becomes zero."""
+    acc = out.get(key)
+    s = c if acc is None else acc + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def _raw(m: int, terms: dict[Key, GaussianRational]) -> WPolynomial:
@@ -438,13 +441,11 @@ def _json_exponents(values: Sequence) -> tuple[int, ...]:
 
 
 def _json_rational(text) -> Fraction:
-    """A coefficient part; it must parse and be finite as a float."""
+    """A coefficient part; it must parse as a fraction."""
     try:
-        value = Fraction(text)
-        float(value)  # overflows when too large for a float
+        return Fraction(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"bad coefficient {text!r}: {exc}") from None
-    return value
 
 
 def _check_index(m: int, j: int) -> None:

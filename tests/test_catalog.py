@@ -22,7 +22,7 @@ from crsphere import (
     restrict_to_block,
     verify_ar_identity,
 )
-from helpers import random_unit
+from helpers import random_unit, random_wpoly
 
 GR = GaussianRational.of
 
@@ -75,6 +75,8 @@ class TestBlockSum:
             Q = make_block_sum(n)
             for k in range(n):
                 assert restrict_to_block(Q, n, k) == make_ar_polynomial()
+                P = random_wpoly(np.random.default_rng(n + k), 2)
+                assert restrict_to_block(P.shifted(2 * n, 2 * k), n, k) == P
 
     def test_mixed_term_fails_support_check(self):
         bad = WPolynomial.monomial(4, (1, 0, 1, 0), (0, 0, 0, 0), 1)

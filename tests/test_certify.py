@@ -117,10 +117,6 @@ class TestWorkerCount:
     def test_explicit_wins(self):
         assert worker_count(3) == 3
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CRSPHERE_WORKERS", "2")
-        assert worker_count() == 2
-
     def test_invalid_explicit(self):
         with pytest.raises(ValueError):
             worker_count(0)

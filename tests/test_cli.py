@@ -25,6 +25,29 @@ def sha256_of(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("construct", "--preset", "ar"),
+         "4b465f132a204f6906fcfad074633a32b31ba831921d7075816aaf670fecc5bc"),
+        (("construct", "--preset", "q-block", "--n", "2"),
+         "b278157e497a4c5eee2a7f87ac4f83ded17335b20ef1d91a52be57545d71cf61"),
+        (("construct", "--preset", "radial", "--m", "3"),
+         "eb2d627741f1a0c7511fba626a6a72c09ec8103b698bc9d0d97f193115cd4fa9"),
+        (("identity-check",),
+         "41b502deafd3f415bc111c7b347938bef5b31ef61a9851c3ca66b26c94c2358a"),
+    ],
+    ids=["construct-ar", "construct-q-block-n2", "construct-radial-m3", "identity-check"],
+)
+def test_output_bytes_pinned(tmp_path, capsys, argv, digest):
+    """The embedding file of construct, or the stdout of identity-check, byte for byte."""
+    out = tmp_path / "e.json"
+    extra = ("--out", str(out)) if argv[0] == "construct" else ()
+    assert run(*argv, *extra) == 0
+    data = out.read_bytes() if extra else capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestConstruct:
     def test_ar_preset(self, tmp_path, capsys):
         out = tmp_path / "ar.json"
@@ -167,8 +190,10 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("re", "1/0"), ("re", "1e400"), ("alpha", [1.5, 0])],
-        ids=["zero-denominator", "overflow", "fractional-exponent"],
+        [("re", "1/0"), ("re", "1e400"), ("alpha", [1.5, 0]),
+         ("beta", [1, 4000]), ("re", "17e307")],
+        ids=["zero-denominator", "overflow", "fractional-exponent",
+             "degree-above-bound", "derivative-overflow"],
     )
     def test_malformed_term_is_data_error(self, tmp_path, field, value):
         emb = self._write_ar(tmp_path)

@@ -17,6 +17,7 @@ from crsphere import (
     equivalence_check_many,
     eval_embedding,
     independence_matrix,
+    local_minimize,
     two_form_identity_check,
     make_ar_polynomial,
     make_graph_embedding,
@@ -50,6 +51,16 @@ class TestIndependenceMatrix:
     def test_off_sphere_rejected(self):
         with pytest.raises(ValueError, match="off the unit sphere"):
             independence_matrix(ar_embedding(), [0.5, 0])
+
+
+@pytest.mark.parametrize(
+    "check", [independence_matrix, cr_dim_at, eval_embedding, local_minimize],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("point", [[1.0], [1.0, 0.0, 0.0]], ids=["short", "long"])
+def test_wrong_length_point_rejected(check, point):
+    with pytest.raises(ValueError, match="length"):
+        check(ar_embedding(), point)
 
 
 class TestPointReport:
@@ -103,7 +114,7 @@ class TestDefiningFunctions:
     def test_real_imaginary_split_reassembles(self):
         rhos = defining_functions(ar_embedding())
         g = rhos[1] + GaussianRational.of(0, 1) * rhos[2]
-        expected = WPolynomial.variable(3, 2) - make_ar_polynomial().pad_to(3)
+        expected = WPolynomial.variable(3, 2) - make_ar_polynomial().shifted(3, 0)
         assert g == expected
 
     def test_all_real(self):

@@ -1,5 +1,6 @@
 """Exact polynomial ring, Wirtinger derivatives, evaluation, serialization."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from crsphere import (
     make_ar_polynomial,
     wirtinger_fd,
 )
+from crsphere.wirtinger import MAX_DEGREE, MAX_TERMS
 from helpers import random_unit, random_wpoly
 
 GR = GaussianRational.of
@@ -138,6 +140,9 @@ class TestConjugation:
         for _ in range(20):
             p = random_wpoly(rng, 3, unit_coeffs=False)
             assert p.conj().conj() == p
+            u, v = p.real_imag()
+            assert u + GR_I * v == p
+            assert u.is_real() and v.is_real()
 
     def test_is_real(self):
         assert WPolynomial.monomial(1, (1,), (1,), 1).is_real()
@@ -178,6 +183,9 @@ class TestDerivatives:
             p.d_z(2)
         with pytest.raises(ValueError, match="out of range"):
             p.d_zbar(-1)
+        for offset in (-1, 1):
+            with pytest.raises(ValueError, match="out of range"):
+                p.shifted(2, offset)
 
     def test_leibniz_exact(self):
         rng = np.random.default_rng(14)
@@ -332,3 +340,17 @@ class TestSerialization:
         term = p.to_json_dict()["terms"][0]
         assert term["re"] == "-1/3"
         assert term["im"] == "2/7"
+
+    def test_size_bounds(self):
+        at_bound = [{"alpha": [MAX_DEGREE], "beta": [0], "re": "1", "im": "0"}]
+        assert WPolynomial.from_json_dict({"m": 1, "terms": at_bound}).degree == MAX_DEGREE
+        exps = itertools.islice(itertools.product(range(17), repeat=3), MAX_TERMS + 1)
+        terms = [{"alpha": [a, b], "beta": [c, 0], "re": "1", "im": "0"} for a, b, c in exps]
+        with pytest.raises(ValueError, match="terms exceed"):
+            WPolynomial.from_json_dict({"m": 2, "terms": terms})
+        terms[-1] = terms[0]  # duplicates merge before the count
+        assert len(WPolynomial.from_json_dict({"m": 2, "terms": terms})) == MAX_TERMS
+        # each part times MAX_DEGREE is finite, their merged sum times MAX_DEGREE is not
+        dup = [{"alpha": [0], "beta": [2], "re": "2e306", "im": "0"}] * MAX_DEGREE
+        with pytest.raises(ValueError, match="too large"):
+            WPolynomial.from_json_dict({"m": 1, "terms": dup})
