@@ -45,8 +45,10 @@ for i, c in enumerate(counts):
     print(f"  [{edges[i]:.3f}, {edges[i+1]:.3f})  {bar}")
 
 print("\n=== local descent ===")
+# (1,0) is a stationary maximum: the probe round moves the descent off it
 lm = local_minimize(ar_embedding(), [1, 0])
-print(f"start value 1.0 at (1,0)  ->  {lm.value:.12f} after {lm.nfev} evaluations")
+print(f"start value {lm.start_value:.1f} at (1,0)  ->  {lm.value:.12f} after "
+      f"{lm.nfev} value-and-gradient evaluations (probes included)")
 
 print("\n=== multistart vs the dense 1-D oracle ===")
 t_star, oracle = ar_determinant_profile(1_000_000)

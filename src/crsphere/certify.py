@@ -1,12 +1,13 @@
 """Global evidence that the independence matrix stays full rank on the sphere.
 
 Two complementary tools: seeded uniform sampling sweeps that evaluate the
-rank criterion at many points, and multistart derivative-free minimization of
-the squared smallest singular value (or of the squared determinant modulus in
-the square case) to hunt for degeneracies.  Both are deterministic given
-their seeds: samples come from one counter-based stream, work is split into
-fixed-size chunks whose results do not depend on the worker count, and
-reductions are performed in sample order.
+rank criterion at many points, and multistart Riemannian gradient descent on
+the sphere of the squared smallest singular value (or of the squared
+determinant modulus in the square case) to hunt for degeneracies.  Both are
+deterministic given their seeds: samples come from one counter-based stream,
+work is split into fixed-size chunks whose results do not depend on the
+worker count, reductions are performed in sample order, and the descent moves
+all starts of a run as one batch.
 
 A sampling sweep is evidence, not proof; the verdict vocabulary says
 "all-regular (sampled)" deliberately.
@@ -15,7 +16,6 @@ A sampling sweep is evidence, not proof; the verdict vocabulary says
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,6 +31,7 @@ from .verifier import (
     numerical_rank,
     point_report,
 )
+from .wirtinger import CompiledEvaluator
 
 VERDICT_ALL_REGULAR = "all-regular (sampled)"
 VERDICT_MARGINAL = "marginal"
@@ -42,10 +43,17 @@ _CHUNK = 4096
 # size of the coarse scan whose argmin seeds multistart runs
 _COARSE_SCAN = 2048
 
-# Nelder-Mead iteration cap (function evaluations are capped at four times
-# it) and step tolerance of each local minimization
+# the descent: iteration cap, Armijo's sufficient-decrease fraction, the
+# Riemannian gradient norm below which a start is stationary, and the
+# shortest move still worth a step
 _MAX_ITER = 2000
-_STEP_TOL = 1e-10
+_ARMIJO = 1e-4
+_GRAD_TOL = 1e-7
+_MIN_MOVE = 1e-15
+# a stationary start is probed this far along each tangent axis; a probe that
+# lowers the value by _PROBE_DROP * _PROBE_STEP**2 marks a saddle or maximum
+_PROBE_STEP = 1e-3
+_PROBE_DROP = 1e-2
 
 OBJECTIVE_SIGMA_MIN_SQ = "sigma_min_sq"
 OBJECTIVE_DET_SQ = "det_sq"
@@ -246,75 +254,154 @@ class LocalMinimum:
     start_value: float
 
 
-def _objective_values(
-    ev: IndependenceEvaluator, objective: str, Z: np.ndarray
-) -> np.ndarray:
-    """The degeneracy measure at each point, shape (n, m) -> (n,).
+def _objective_values(objective: str, s: np.ndarray) -> np.ndarray:
+    """The degeneracy measure from singular values (n, q+1), descending.
 
-    ``np.hypot`` and ``np.float_power`` round like the scalar ``abs`` and
-    ``** 2`` of a single point (``np.abs`` and ``** 2`` on arrays take SIMD
-    kernels that can differ in the last bit), so a point's value, and the
-    Nelder-Mead path it steers, does not depend on the batch it is in.
+    ``sigma_min^2`` is the last one squared, ``|det|^2`` the product of the
+    squares.  The coarse scan and the descent both take their values here.
     """
-    M = ev.matrix_many(Z)
-    if objective == OBJECTIVE_DET_SQ:
-        if ev.q + 1 != ev.m:
-            raise ValueError(
-                "det_sq objective needs a square independence matrix (q+1 == m)"
+    sq = s * s
+    return np.prod(sq, axis=1) if objective == OBJECTIVE_DET_SQ else sq[:, -1]
+
+
+def _value_and_gradient(E: GraphEmbedding, objective: str):
+    """The objective and its Riemannian gradient on the sphere, batched over points.
+
+    One ``CompiledEvaluator`` gives ``g = df/dzbar`` and its Jacobians
+    ``dg/dz`` and ``dg/dzbar`` (second Wirtinger derivatives of f).  From the
+    SVD ``M = U diag(s) V^H`` of the independence matrix,
+    ``W = conj(U diag(p) V^H)`` gives ``d value = 2 Re sum(W * dM)``: for
+    ``sigma_min^2`` (a simple smallest singular value) p is ``s_min`` on the
+    last triple and 0 elsewhere; for ``|det|^2``, Jacobi's formula
+    ``d det = tr(adj(M) dM)`` with ``conj(det) adj(M) = V diag(p) U^H`` gives
+    ``p_i = s_i prod_{j != i} s_j^2``.  By the chain rule
+    ``d value = 2 Re(a . dz + b . dzbar)`` with ``a = W_0 + sum_jk W_jk dg_jk/dz``
+    and ``b = sum_jk W_jk dg_jk/dzbar``, so the Euclidean gradient
+    (``2 d value/dzbar``) is ``G = 2 (conj(a) + b)``; its projection
+    ``G - Re<G, z> z`` onto the tangent space is returned.
+    """
+    if objective == OBJECTIVE_DET_SQ and E.q + 1 != E.m:
+        raise ValueError(
+            "det_sq objective needs a square independence matrix (q+1 == m)"
+        )
+    m, qm = E.m, E.q * E.m
+    g = [fj.d_zbar(k) for fj in E.f for k in range(m)]
+    jacobians = [p.d_z(l) for p in g for l in range(m)] + [
+        p.d_zbar(l) for p in g for l in range(m)
+    ]
+    ev = CompiledEvaluator(g + jacobians)
+
+    def evaluate(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = len(Z)
+        out = ev(Z)
+        M = np.concatenate([Z[:, None, :], out[:, :qm].reshape(n, E.q, m)], axis=1)
+        U, s, Vh = np.linalg.svd(M, full_matrices=False)
+        if objective == OBJECTIVE_DET_SQ:
+            sq = s * s
+            p = s * np.stack(
+                [np.prod(np.delete(sq, i, axis=1), axis=1) for i in range(m)], axis=1
             )
-        det = np.linalg.det(M)
-        r = np.hypot(det.real, det.imag)
-    else:
-        r = np.linalg.svd(M, compute_uv=False)[:, -1]
-    return np.float_power(r, 2)
+        else:
+            p = np.zeros_like(s)
+            p[:, -1] = s[:, -1]
+        W = np.conj((U * p[:, None, :]) @ Vh)
+        # rows d/dz, d/dzbar; columns the entries of g in M's row-major order
+        ab = W[:, 1:, :].reshape(n, 1, 1, qm) @ out[:, qm:].reshape(n, 2, qm, m)
+        G = 2 * (np.conj(W[:, 0, :] + ab[:, 0, 0]) + ab[:, 1, 0])
+        grad = G - np.real(np.sum(G * np.conj(Z), axis=1))[:, None] * Z
+        return _objective_values(objective, s), grad
+
+    return evaluate
+
+
+def _probes(Z: np.ndarray) -> np.ndarray:
+    """Points _PROBE_STEP away from each point, along ± each projected axis.
+
+    The 2m real axes (e_k and i e_k), projected onto the tangent space at z,
+    span it; shape (n, m) -> (n * 4m, m), not yet normalised.
+    """
+    n, m = Z.shape
+    if not n:
+        return Z
+    axes = np.concatenate([np.eye(m), 1j * np.eye(m)])
+    D = axes - np.real(axes @ np.conj(Z)[:, :, None]) * Z[:, None, :]
+    return (Z[:, None, :] + _PROBE_STEP * np.concatenate([D, -D], axis=1)).reshape(-1, m)
+
+
+def _descend(evaluate, starts: np.ndarray) -> list[LocalMinimum]:
+    """Riemannian steepest descent on the unit sphere from every start at once.
+
+    The starts move in lock-step as one (n, m) array, so each iteration makes
+    one evaluator call.  A step moves against the Riemannian gradient and
+    retracts to the sphere by normalising; Armijo backtracking with a step size
+    per start doubles it after an accepted step and halves it after a
+    rejected one.  Once a start's gradient norm is below _GRAD_TOL, one probe
+    round (see ``_probes``) tells a minimum from a saddle or maximum: a probe
+    that lowers the value by _PROBE_DROP * _PROBE_STEP^2 restarts the descent
+    there, otherwise the start has converged.  A start stops unconverged when
+    a step could no longer move it, or at _MAX_ITER iterations.  Values never
+    increase, and ``nfev`` counts the points evaluated for a start, probes
+    included.
+    """
+    n, m = starts.shape
+    Z = starts.copy()
+    value, grad = evaluate(Z)
+    start_value = value.copy()
+    gnorm = np.linalg.norm(grad, axis=1)
+    step = np.ones(n)
+    nfev = np.ones(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    for _ in range(_MAX_ITER):
+        probing = active & (gnorm < _GRAD_TOL)
+        d, p = np.flatnonzero(active & ~probing), np.flatnonzero(probing)
+        if not (d.size or p.size):
+            break
+        C = np.concatenate([Z[d] - step[d, None] * grad[d], _probes(Z[p])])
+        C /= np.linalg.norm(C, axis=1, keepdims=True)
+        v, g = evaluate(C)
+        nfev[d] += 1
+        nfev[p] += 4 * m
+
+        # probing starts: the best probe, taken only if it lowers the value enough
+        best = len(d) + 4 * m * np.arange(len(p))
+        best += np.argmin(v[len(d):].reshape(-1, 4 * m), axis=1)
+        escape = v[best] <= value[p] - _PROBE_DROP * _PROBE_STEP**2
+        converged[p[~escape]] = True
+        active[p[~escape]] = False
+        step[p[escape]] = 1.0
+
+        ok = v[: len(d)] <= value[d] - _ARMIJO * step[d] * gnorm[d] ** 2
+        step[d] *= np.where(ok, 2.0, 0.5)
+        active[d[~ok & (step[d] * gnorm[d] < _MIN_MOVE)]] = False
+
+        moved = np.concatenate([d[ok], p[escape]])
+        rows = np.concatenate([np.flatnonzero(ok), best[escape]])
+        Z[moved], value[moved], grad[moved] = C[rows], v[rows], g[rows]
+        gnorm[moved] = np.linalg.norm(g[rows], axis=1)
+    return [
+        LocalMinimum(
+            z=tuple(complex(w) for w in Z[i]),
+            value=float(value[i]),
+            converged=bool(converged[i]),
+            nfev=int(nfev[i]),
+            start_value=float(start_value[i]),
+        )
+        for i in range(n)
+    ]
 
 
 def local_minimize(
     E: GraphEmbedding, z0: Sequence[complex], opts: MinimizeOptions = MinimizeOptions()
 ) -> LocalMinimum:
-    """Nelder-Mead descent of the degeneracy measure, re-normalized to the sphere.
+    """Riemannian gradient descent of the degeneracy measure from one start.
 
-    Works in the real chart x in R^{2m} with the objective evaluated at
-    x/||x||; the singular-value objective is non-smooth at crossings, which
-    is why the method is derivative-free.  The returned value never exceeds
-    the starting value; hitting the iteration cap returns the best point so
-    far flagged unconverged.
+    The single-start case of the batched descent ``multistart_minimize``
+    runs.  The returned value never exceeds the starting value; hitting the
+    iteration cap returns the best point so far flagged unconverged.
     """
-    # the only scipy user: imported here so the CLI's other commands load without it
-    from scipy.optimize import minimize
-
     z0v = require_on_sphere(z0, E.m)
-    ev = IndependenceEvaluator(E)
-
-    def chart_objective(x: np.ndarray) -> float:
-        n = math.sqrt(x.dot(x))  # np.linalg.norm's arithmetic, without its overhead
-        if n < 1e-12:
-            return np.inf
-        z = (x[: E.m] + 1j * x[E.m :]) / n
-        return float(_objective_values(ev, opts.objective, z[None, :])[0])
-
-    x0 = np.concatenate([z0v.real, z0v.imag])
-    start_value = chart_objective(x0)
-    res = minimize(
-        chart_objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": _MAX_ITER,
-            "maxfev": 4 * _MAX_ITER,
-            "xatol": _STEP_TOL,
-            "fatol": np.inf,
-        },
-    )
-    x = res.x / np.linalg.norm(res.x)
-    z = x[: E.m] + 1j * x[E.m :]
-    return LocalMinimum(
-        z=tuple(complex(w) for w in z),
-        value=float(res.fun),
-        converged=bool(res.success),
-        nfev=int(res.nfev),
-        start_value=start_value,
-    )
+    return _descend(_value_and_gradient(E, opts.objective), z0v[None, :])[0]
 
 
 def multistart_minimize(
@@ -323,21 +410,22 @@ def multistart_minimize(
     seed: int,
     opts: MinimizeOptions = MinimizeOptions(),
 ) -> CertificateReport:
-    """Local minimization from seeded starts plus a coarse-scan argmin.
+    """Riemannian descent from seeded starts plus a coarse-scan argmin.
 
     Starts are the argmin of a fixed-size coarse objective scan over seeded
-    sphere samples, then the first ``restarts`` samples of the same stream.
+    sphere samples, then the first ``restarts`` samples of the same stream;
+    all of them descend together in one batch (``_descend``).
     Deterministic for fixed (restarts, seed).
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    evaluate = _value_and_gradient(E, opts.objective)
     n_scan = max(_COARSE_SCAN, restarts)
     Z = sample_sphere(E.m, n_scan, seed)
-    scan_values = _objective_values(IndependenceEvaluator(E), opts.objective, Z)
-    coarse_start = Z[int(np.argmin(scan_values))]
-
-    starts = [coarse_start] + [Z[i] for i in range(restarts)]
-    minima = [local_minimize(E, s, opts) for s in starts]
+    s = IndependenceEvaluator(E).singular_values_many(Z)
+    scan_values = _objective_values(opts.objective, s)
+    starts = np.concatenate([Z[[int(np.argmin(scan_values))]], Z[:restarts]])
+    minima = _descend(evaluate, starts)
     values = [lm.value for lm in minima]
     best_idx = int(np.argmin(values))
     best = minima[best_idx]

@@ -3,8 +3,8 @@ verify regularity by sampling, and hunt degeneracies by minimization.
 
 Exit codes: 0 success/verified, 1 identity failure, 2 regularity failure (or
 marginal verdict), 3 internal criterion disagreement, 64 usage errors,
-65 unreadable or malformed input files, 70 internal faults (the traceback goes
-to standard error).
+65 unreadable or malformed input files and embeddings whose values overflow a
+float, 70 internal faults (the traceback goes to standard error).
 
 Human-readable summaries go to standard output; machine artifacts (embedding
 files, reports, histograms) go to files.  Every output file has a sidecar
@@ -50,7 +50,7 @@ from .certify import (
     write_histogram_csv,
 )
 from .verifier import equivalence_check_many
-from .wirtinger import WPolynomial
+from .wirtinger import NonFiniteError, WPolynomial
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -118,6 +118,13 @@ class CliError(Exception):
         self.message = message
 
 
+def _check_flags(*checks: tuple[bool, str]) -> None:
+    """Raise the usage error of the first failed (condition, message) pair."""
+    for ok, message in checks:
+        if not ok:
+            raise CliError(EXIT_USAGE, message)
+
+
 # -- construct ---------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
@@ -170,6 +177,12 @@ def cmd_identity_check(args) -> int:
 # -- verify --------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    _check_flags(
+        (args.samples >= 1, "--samples must be >= 1"),
+        (args.seed >= 0, "--seed must be >= 0"),
+        (args.tol > 0, "--tol must be positive"),
+        (args.workers is None or args.workers >= 1, "--workers must be >= 1"),
+    )
     E = _load_embedding(args.embedding)
     cfg = SweepConfig(
         samples=args.samples, seed=args.seed, tol=args.tol, workers=args.workers
@@ -211,9 +224,17 @@ def cmd_verify(args) -> int:
 # -- minimize -------------------------------------------------------------------------
 
 def cmd_minimize(args) -> int:
-    if args.restarts < 1:
-        raise CliError(EXIT_USAGE, "--restarts must be >= 1")
+    _check_flags(
+        (args.restarts >= 1, "--restarts must be >= 1"),
+        (args.seed >= 0, "--seed must be >= 0"),
+        (args.tol > 0, "--tol must be positive"),
+    )
     E = _load_embedding(args.embedding)
+    _check_flags(
+        (args.objective != "det" or E.q + 1 == E.m,
+         f"--objective det needs a square independence matrix (q+1 == m), "
+         f"got q={E.q}, m={E.m}"),
+    )
     objective = (
         OBJECTIVE_DET_SQ if args.objective == "det" else OBJECTIVE_SIGMA_MIN_SQ
     )
@@ -324,9 +345,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except NonFiniteError as exc:
+        print(f"error: {exc}: the embedding cannot be evaluated in floating point",
+              file=sys.stderr)
+        return EXIT_DATA
     except Exception:
         traceback.print_exc()
         return EXIT_SOFTWARE

@@ -455,6 +455,10 @@ def _check_index(m: int, j: int) -> None:
 
 # -- batched evaluation -------------------------------------------------------
 
+class NonFiniteError(ArithmeticError):
+    """A polynomial evaluated to inf or nan: its values overflow a float."""
+
+
 class CompiledEvaluator:
     """Several polynomials in the same m variables, evaluated together at many points.
 
@@ -462,8 +466,10 @@ class CompiledEvaluator:
     their coefficients as a (K, outputs) complex matrix, so a call forms the
     (n, K) monomial matrix from power tables of Z and conj(Z) and does one
     matmul.  The tables hold only the exponents that occur, so their size
-    follows the term count, not the degree.  ``WPolynomial.eval`` is the
-    scalar reference it is tested against.
+    follows the term count, not the degree.  A coefficient or a value that is
+    not a finite float raises ``NonFiniteError`` rather than reaching a rank
+    decision or a descent.  ``WPolynomial.eval`` is the scalar reference it is
+    tested against.
     """
 
     def __init__(self, polys: Sequence[WPolynomial]):
@@ -477,7 +483,10 @@ class CompiledEvaluator:
         coeffs = np.zeros((len(keys), len(polys)), dtype=np.complex128)
         for j, p in enumerate(polys):
             for key, c in p.terms.items():
-                coeffs[index[key], j] = complex(c)
+                try:
+                    coeffs[index[key], j] = complex(c)
+                except OverflowError:
+                    raise NonFiniteError("a coefficient overflows a float") from None
         alpha = np.array([a for a, _ in keys], dtype=np.intp).reshape(-1, m)
         beta = np.array([b for _, b in keys], dtype=np.intp).reshape(-1, m)
         exps = np.unique(np.concatenate([[0], alpha.ravel(), beta.ravel()]))
@@ -501,7 +510,12 @@ class CompiledEvaluator:
         for j in range(self.m):
             mono *= powers[:, j, self._alpha[:, j]]
             mono *= conj_powers[:, j, self._beta[:, j]]
-        return mono @ self._coeffs
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            values = mono @ self._coeffs
+        if not np.isfinite(values).all():
+            z = Z[np.argmin(np.isfinite(values).all(axis=1))].tolist()
+            raise NonFiniteError(f"polynomial value is not finite at z = {z}")
+        return values
 
 
 # -- finite-difference oracle ---------------------------------------------------

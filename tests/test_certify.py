@@ -6,6 +6,7 @@ import pytest
 from crsphere import certify
 from crsphere import (
     CertificateReport,
+    GraphEmbedding,
     IndependenceEvaluator,
     MinimizeOptions,
     OBJECTIVE_DET_SQ,
@@ -28,6 +29,10 @@ from crsphere import (
     worker_count,
     write_histogram_csv,
 )
+from helpers import random_wpoly
+
+# best value Nelder-Mead reached for block-sum-n3 with 64 restarts and seed 42
+BLOCK_N3_SIGMA_MIN_SQ = 0.010975459345
 
 # global minimum of the squared smallest singular value over the sphere for
 # the stock S^3 embedding, established by a dense 1-D scan of the closed-form
@@ -149,11 +154,58 @@ class TestLocalMinimize:
         with pytest.raises(ValueError, match="objective"):
             MinimizeOptions(objective="gradient")
 
+    def test_stationary_start_escapes_to_global_minimum(self):
+        # (1, 0) is a maximum of both objectives along |z1|^2, so the gradient
+        # vanishes there; the probe round must move the descent off it
+        for objective, oracle in (
+            ("sigma_min_sq", AR_SIGMA_MIN_SQ_GLOBAL), (OBJECTIVE_DET_SQ, 1 / 9),
+        ):
+            lm = local_minimize(ar_embedding(), [1, 0], MinimizeOptions(objective=objective))
+            assert lm.converged
+            assert abs(lm.value - oracle) < 1e-12
+
     def test_iteration_cap_returns_best_so_far(self, monkeypatch):
         monkeypatch.setattr(certify, "_MAX_ITER", 5)
         lm = local_minimize(ar_embedding(), [1, 0])
         assert not lm.converged
         assert lm.value <= lm.start_value
+
+
+def _random_embedding(seed, m, q):
+    rng = np.random.default_rng(seed)
+    return GraphEmbedding(m, q, tuple(random_wpoly(rng, m) for _ in range(q)), "random")
+
+
+class TestDescentGradient:
+    @pytest.mark.parametrize(
+        "E, objective",
+        [
+            (ar_embedding(), "sigma_min_sq"),
+            (ar_embedding(), OBJECTIVE_DET_SQ),
+            (block_sum_embedding(2), "sigma_min_sq"),
+            (_random_embedding(5, 3, 1), "sigma_min_sq"),
+            (_random_embedding(6, 4, 2), "sigma_min_sq"),
+        ],
+        ids=["ar-sigma", "ar-det", "block-sum-n2", "random-m3-q1", "random-m4-q2"],
+    )
+    def test_matches_central_differences_along_tangents(self, E, objective):
+        evaluate = certify._value_and_gradient(E, objective)
+        rng = np.random.default_rng(31)
+        h = 1e-5
+        for z in sample_sphere(E.m, 5, 32):
+            _, grad = evaluate(z[None, :])
+            grad = grad[0]
+            assert np.linalg.norm(grad) > 1e-3
+            assert abs(np.vdot(z, grad).real) < 1e-12  # tangent to the sphere
+            for _ in range(4):
+                d = rng.standard_normal(E.m) + 1j * rng.standard_normal(E.m)
+                d -= np.vdot(z, d).real * z
+                d /= np.linalg.norm(d)
+                # along the great circle through z with unit tangent d
+                ends = np.array([np.cos(h) * z + np.sin(h) * d, np.cos(h) * z - np.sin(h) * d])
+                v = evaluate(ends)[0]
+                fd = (v[0] - v[1]) / (2 * h)
+                assert abs(fd - np.vdot(grad, d).real) <= 1e-6 * np.linalg.norm(grad)
 
 
 class TestMultistart:
@@ -178,6 +230,11 @@ class TestMultistart:
         )
         _, oracle = ar_determinant_profile(100_000)
         assert abs(rep.best_value - oracle) < 1e-6
+
+    def test_block_sum_n3_reaches_nelder_mead_value(self):
+        rep = multistart_minimize(block_sum_embedding(3), 64, 42)
+        assert abs(rep.best_value - BLOCK_N3_SIGMA_MIN_SQ) <= 1e-9 * BLOCK_N3_SIGMA_MIN_SQ
+        assert rep.extras["unconverged_restarts"] == 0
 
     def test_radial_control_hits_zero(self):
         rep = multistart_minimize(make_negative_control("radial", 2), 1, 42)

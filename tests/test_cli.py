@@ -317,12 +317,67 @@ class TestMinimize:
         assert abs(rep.best_value - 1 / 9) < 1e-6
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     src = Path(crsphere.__file__).resolve().parent.parent
+    emb, report = tmp_path / "ar.json", tmp_path / "min.json"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import crsphere.cli; "
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        f"crsphere.cli.main(['construct', '--preset', 'ar', '--out', {str(emb)!r}]); "
+        f"code = crsphere.cli.main(['minimize', {str(emb)!r}, '--restarts', '2', "
+        f"'--report', {str(report)!r}]); "
+        "print(loaded, code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[] 0 []"
+
+
+def _overflowing_ar(tmp_path) -> Path:
+    """The ar embedding plus 64 terms zbar_1^e with coefficient 2.5e306.
+
+    It passes the loader's bounds, but its values overflow a float.
+    """
+    emb = tmp_path / "ovf.json"
+    run("construct", "--preset", "ar", "--out", str(emb))
+    data = json.loads(emb.read_text())
+    data["f"][0]["terms"] += [
+        {"alpha": [0, 0], "beta": [e, 0], "re": "2.5e306", "im": "0"} for e in range(1, 65)
+    ]
+    emb.write_text(json.dumps(data))
+    return emb
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--samples", "2000"), ("minimize", "--restarts", "2")],
+    ids=["verify", "minimize"],
+)
+def test_overflowing_embedding_is_data_error(tmp_path, capsys, argv):
+    emb = _overflowing_ar(tmp_path)
+    report = tmp_path / "r.json"
+    assert run(argv[0], str(emb), *argv[1:], "--report", str(report)) == 65
+    assert "cannot be evaluated in floating point" in capsys.readouterr().err
+    assert not report.exists()
+    assert not (tmp_path / "r.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "preset, argv",
+    [
+        ("ar", ("verify", "--samples", "0")),
+        ("ar", ("verify", "--tol", "0")),
+        ("ar", ("verify", "--workers", "0")),
+        ("ar", ("verify", "--seed", "-1")),
+        ("ar", ("minimize", "--tol", "0")),
+        ("ar", ("minimize", "--seed", "-1")),
+        ("q-block", ("minimize", "--objective", "det")),
+    ],
+    ids=["verify-samples-0", "verify-tol-0", "verify-workers-0", "verify-seed-negative",
+         "minimize-tol-0", "minimize-seed-negative", "minimize-det-non-square"],
+)
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, preset, argv):
+    emb = tmp_path / "e.json"
+    run("construct", "--preset", preset, "--n", "2", "--out", str(emb))
+    assert run(argv[0], str(emb), *argv[1:], "--report", str(tmp_path / "r.json")) == 64
+    assert argv[1] in capsys.readouterr().err
