@@ -29,7 +29,6 @@ from .catalog import (
     ar_embedding,
     block_sum_embedding,
     block_support_ok,
-    catalog_embeddings,
     eval_embedding,
     make_ar_polynomial,
     make_block_sum,
@@ -40,13 +39,10 @@ from .catalog import (
 )
 from .verifier import (
     IndependenceEvaluator,
-    OneForm,
     RankToleranceError,
-    TwoForm,
     cr_dim_at,
     defining_functions,
     del_form,
-    equivalence_check,
     equivalence_check_many,
     independence_matrix,
     two_form_identity_check,
@@ -70,7 +66,6 @@ from .certify import (
     sample_sphere,
     sigma_histogram,
     sweep,
-    worker_count,
     write_histogram_csv,
 )
 
@@ -80,18 +75,18 @@ __all__ = [
     "CompiledEvaluator", "GaussianRational", "GR_I", "WPolynomial", "wirtinger_fd",
     # catalog
     "GraphEmbedding", "ar_embedding", "block_sum_embedding", "block_support_ok",
-    "catalog_embeddings", "eval_embedding", "make_ar_polynomial",
-    "make_block_sum", "make_graph_embedding", "make_negative_control",
-    "restrict_to_block", "verify_ar_identity",
+    "eval_embedding", "make_ar_polynomial", "make_block_sum",
+    "make_graph_embedding", "make_negative_control", "restrict_to_block",
+    "verify_ar_identity",
     # verifier
-    "IndependenceEvaluator", "OneForm", "RankToleranceError", "TwoForm",
-    "cr_dim_at", "defining_functions", "del_form", "equivalence_check",
-    "equivalence_check_many", "independence_matrix", "two_form_identity_check",
-    "point_report", "wedge", "wedge_nonzero",
+    "IndependenceEvaluator", "RankToleranceError", "cr_dim_at",
+    "defining_functions", "del_form", "equivalence_check_many",
+    "independence_matrix", "two_form_identity_check", "point_report", "wedge",
+    "wedge_nonzero",
     # certify
     "CertificateReport", "MinimizeOptions", "OBJECTIVE_DET_SQ", "SweepConfig",
     "VERDICT_ALL_REGULAR", "VERDICT_FAILURE", "VERDICT_MARGINAL",
     "ar_det_sq_of_t", "ar_determinant_profile", "is_ar_embedding",
     "local_minimize", "multistart_minimize", "sample_sphere",
-    "sigma_histogram", "sweep", "worker_count", "write_histogram_csv",
+    "sigma_histogram", "sweep", "write_histogram_csv",
 ]

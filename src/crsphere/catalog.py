@@ -77,11 +77,13 @@ class GraphEmbedding:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "GraphEmbedding":
+        label = str(data["label"])
+        label.encode("utf-8")  # a lone surrogate cannot be printed: UnicodeEncodeError
         return GraphEmbedding(
             m=json_int(data["m"], "m"),
             q=json_int(data["q"], "q"),
             f=tuple(WPolynomial.from_json_dict(d) for d in data["f"]),
-            label=str(data["label"]),
+            label=label,
         )
 
     def dumps(self) -> str:
@@ -134,11 +136,6 @@ def ar_embedding() -> GraphEmbedding:
 def block_sum_embedding(n: int) -> GraphEmbedding:
     """The CR regular S^{4n-1} -> C^{2n+1} embedding graphing the n-block quartic sum."""
     return make_graph_embedding(2 * n, [make_block_sum(n)], label=f"block-sum-n{n}")
-
-
-def catalog_embeddings(max_blocks: int = 3) -> list[GraphEmbedding]:
-    """The stock positive examples: Ahern-Rudin plus block sums up to ``max_blocks``."""
-    return [ar_embedding()] + [block_sum_embedding(n) for n in range(1, max_blocks + 1)]
 
 
 def make_negative_control(kind: str, m: int) -> GraphEmbedding:

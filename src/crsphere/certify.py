@@ -19,7 +19,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,15 +59,6 @@ OBJECTIVE_SIGMA_MIN_SQ = "sigma_min_sq"
 OBJECTIVE_DET_SQ = "det_sq"
 
 
-def worker_count(explicit: int | None = None) -> int:
-    """Resolve the parallelism hint: the explicit value, else the CPU count."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"worker count must be >= 1, got {explicit}")
-        return explicit
-    return os.cpu_count() or 1
-
-
 def sample_sphere(m: int, count: int, seed: int) -> np.ndarray:
     """Uniform points on the unit sphere of C^m, shape (count, m).
 
@@ -95,6 +86,8 @@ class SweepConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -142,33 +135,8 @@ class CertificateReport:
             "extras": self.extras,
         }
 
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "CertificateReport":
-        return CertificateReport(
-            label=str(data["label"]),
-            samples=int(data["samples"]),
-            seed=int(data["seed"]),
-            tol=float(data["tol"]),
-            restarts=int(data["restarts"]),
-            min_sigma=float(data["min_sigma"]),
-            sigma_max_at_argmin=float(data["sigma_max_at_argmin"]),
-            argmin_z=tuple(complex(re, im) for re, im in data["argmin_z"]),
-            converged_minima=tuple(
-                (tuple(complex(re, im) for re, im in entry["z"]), float(entry["value"]))
-                for entry in data["converged_minima"]
-            ),
-            verdict=str(data["verdict"]),
-            objective=data.get("objective"),
-            best_value=data.get("best_value"),
-            extras=dict(data.get("extras", {})),
-        )
-
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-    @staticmethod
-    def loads(text: str) -> "CertificateReport":
-        return CertificateReport.from_json_dict(json.loads(text))
 
 
 def _verdict(any_failure: bool, any_marginal: bool) -> str:
@@ -184,34 +152,21 @@ def _verdict(any_failure: bool, any_marginal: bool) -> str:
 def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
     """Evaluate the rank criterion at every sample; record the global margin.
 
-    The samples are ``sample_sphere(E.m, cfg.samples, cfg.seed)``.  The
-    result is deterministic for a fixed config, independent of the worker
-    count.
+    The samples are ``sample_sphere(E.m, cfg.samples, cfg.seed)``, taken in
+    fixed-size chunks by ``cfg.workers`` threads (one per CPU if None).  The
+    result is deterministic for a fixed config, independent of the worker count.
     """
     Z = sample_sphere(E.m, cfg.samples, cfg.seed)
     ev = IndependenceEvaluator(E)
-    full_rank = E.q + 1
 
     chunks = [Z[i : i + _CHUNK] for i in range(0, len(Z), _CHUNK)]
-
-    def work(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s = ev.singular_values_many(chunk)
-        return s[:, -1], s[:, 0], numerical_rank(s, cfg.tol)
-
-    w = worker_count(cfg.workers)
-    if w > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            parts = list(pool.map(work, chunks))
-    else:
-        parts = [work(c) for c in chunks]
-
-    smin = np.concatenate([p[0] for p in parts])
-    smax = np.concatenate([p[1] for p in parts])
-    ranks = np.concatenate([p[2] for p in parts])
+    with ThreadPoolExecutor(max_workers=cfg.workers or os.cpu_count() or 1) as pool:
+        s = np.concatenate(list(pool.map(ev.singular_values_many, chunks)))
+    smin, smax = s[:, -1], s[:, 0]
 
     gidx = int(np.argmin(smin))  # first occurrence: deterministic reduction
     verdict = _verdict(
-        bool(np.any(ranks < full_rank)),
+        bool(np.any(numerical_rank(s, cfg.tol) < E.q + 1)),
         bool(np.any(_is_marginal(smin, smax, cfg.tol))),
     )
 
@@ -460,7 +415,9 @@ def ar_det_sq_of_t(t: np.ndarray) -> np.ndarray:
 
     On the unit sphere the determinant modulus of the Ahern-Rudin
     independence matrix depends only on t, giving the closed profile
-    (1-t)^2 (1-3t)^2 + t^2 (3t-2)^2.
+    (1-t)^2 (1-3t)^2 + t^2 (3t-2)^2 = 1/9 + 18 (t - 1/3)^2 (t - 2/3)^2,
+    which ``verify_ar_identity`` proves exactly; its minimum 1/9 is at
+    t = 1/3 and t = 2/3.
     """
     t = np.asarray(t, dtype=float)
     return (1 - t) ** 2 * (1 - 3 * t) ** 2 + t**2 * (3 * t - 2) ** 2

@@ -7,11 +7,12 @@ marginal verdict), 3 internal criterion disagreement, 64 usage errors,
 float, 70 internal faults (the traceback goes to standard error).
 
 Human-readable summaries go to standard output; machine artifacts (embedding
-files, reports, histograms) go to files.  Every output file has a sidecar
-``<name>.manifest.json`` recording the command, every parsed flag, input
-hashes, tool version and wall time; ``main`` writes it after any normal
-return.  The report itself stays byte-reproducible for identical flags,
-whatever the worker count.
+files, reports, histograms) go to files.  The file named by ``--out`` or
+``--report`` has a sidecar ``<name>.manifest.json`` recording the command,
+every parsed flag, input hashes, tool version and wall time; ``main`` writes
+it after any normal return.  The ``--hist`` CSV gets no sidecar of its own:
+the report's manifest records its path under ``hist``.  The report itself
+stays byte-reproducible for identical flags, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .certify import (
     OBJECTIVE_SIGMA_MIN_SQ,
     SweepConfig,
     VERDICT_ALL_REGULAR,
-    ar_determinant_profile,
+    ar_det_sq_of_t,
     is_ar_embedding,
     multistart_minimize,
     sample_sphere,
@@ -50,7 +51,7 @@ from .certify import (
     write_histogram_csv,
 )
 from .verifier import equivalence_check_many
-from .wirtinger import NonFiniteError, WPolynomial
+from .wirtinger import MAX_VARIABLES, NonFiniteError, WPolynomial
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -100,12 +101,13 @@ def _write_manifest(args, wall_time_s: float) -> None:
 
 def _load_embedding(path: str) -> GraphEmbedding:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CliError(EXIT_DATA, f"cannot read embedding file {path}: {exc}")
+    # ValueError covers bad UTF-8 and bad JSON; RecursionError, JSON nested too deeply
     try:
-        return GraphEmbedding.loads(text)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        return GraphEmbedding.loads(data.decode("utf-8"))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CliError(EXIT_DATA, f"malformed embedding file {path}: {exc}")
 
 
@@ -131,15 +133,17 @@ def cmd_construct(args) -> int:
     if args.preset == "ar":
         E = ar_embedding()
     elif args.preset == "q-block":
-        if args.n is None or args.n < 1:
-            raise CliError(EXIT_USAGE, "--preset q-block needs --n >= 1")
+        if args.n is None or not 1 <= args.n <= MAX_VARIABLES // 2:
+            raise CliError(
+                EXIT_USAGE, f"--preset q-block needs 1 <= --n <= {MAX_VARIABLES // 2}"
+            )
         E = block_sum_embedding(args.n)
-    elif args.preset in NEGATIVE_CONTROL_KINDS:
-        if args.m is None or args.m < 2:
-            raise CliError(EXIT_USAGE, f"--preset {args.preset} needs --m >= 2")
+    else:  # a negative control, one of NEGATIVE_CONTROL_KINDS behind argparse choices
+        if args.m is None or not 2 <= args.m <= MAX_VARIABLES:
+            raise CliError(
+                EXIT_USAGE, f"--preset {args.preset} needs 2 <= --m <= {MAX_VARIABLES}"
+            )
         E = make_negative_control(args.preset, args.m)
-    else:  # unreachable behind argparse choices
-        raise CliError(EXIT_USAGE, f"unknown preset {args.preset!r}")
     out = Path(args.out)
     out.write_text(E.dumps() + "\n", encoding="utf-8")
     print(f"wrote {E.label}: S^{2 * E.m - 1} -> C^{E.m + E.q} ({out})")
@@ -249,7 +253,9 @@ def cmd_minimize(args) -> int:
                 E, args.restarts, args.seed, replace(opts, objective=OBJECTIVE_DET_SQ)
             )
         )
-        t_star, profile_min = ar_determinant_profile()
+        # on the sphere |det|^2 = ar_det_sq_of_t(|z1|^2) exactly, minimal at t = 1/3
+        t_star = 1 / 3
+        profile_min = float(ar_det_sq_of_t(t_star))
         report.extras["ar_cross_check"] = {
             "best_det_sq": det_report.best_value,
             "profile_min": profile_min,
@@ -267,7 +273,8 @@ def cmd_minimize(args) -> int:
     )
     unconverged = report.extras.get("unconverged_restarts", 0)
     if unconverged:
-        print(f"warning: {unconverged} restart(s) hit the iteration cap")
+        print(f"warning: {unconverged} restart(s) did not converge "
+              "(iteration cap or stalled step)")
     if "ar_cross_check" in report.extras:
         cc = report.extras["ar_cross_check"]
         print(

@@ -58,75 +58,37 @@ def _is_marginal(sigma_min, sigma_max, tol: float):
 
 
 # -- differential forms at a point ---------------------------------------------
+# A (1,0)-form sum_j c_j dz_j is its coefficient vector c; a 2-form
+# sum_{i<j} c_ij dz_i ^ dz_j is its antisymmetric coefficient matrix.
 
-@dataclass(frozen=True)
-class OneForm:
-    """A (1,0)-form sum_j c_j dz_j, stored as its coefficient vector."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", np.asarray(self.coeffs, dtype=np.complex128)
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
+def wedge(a: Sequence[complex], b: Sequence[complex]) -> np.ndarray:
+    """Wedge product of two (1,0)-forms, as the antisymmetric coefficient matrix."""
+    outer = np.outer(a, b)
+    return outer - outer.T
 
 
-@dataclass(frozen=True)
-class TwoForm:
-    """A 2-form sum_{i<j} c_ij dz_i ^ dz_j as an antisymmetric coefficient matrix."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {c.shape}")
-        if not np.allclose(c, -c.T, atol=1e-13 * max(1.0, np.abs(c).max())):
-            raise ValueError("coefficient matrix is not antisymmetric")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
-
-def wedge(a: OneForm, b: OneForm) -> TwoForm:
-    """Wedge product of two (1,0)-forms."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    outer = np.outer(a.coeffs, b.coeffs)
-    return TwoForm(outer - outer.T)
-
-
-def del_form(rho: WPolynomial, w: Sequence[complex]) -> OneForm:
-    """Holomorphic differential of a real polynomial, evaluated at a point."""
+def del_form(rho: WPolynomial, w: Sequence[complex]) -> np.ndarray:
+    """Holomorphic differential of a real polynomial at a point, as its coefficients."""
     if not rho.is_real():
         raise ValueError("del_form requires a real polynomial")
     wv = np.asarray(w, dtype=np.complex128)
     if len(wv) != rho.m:
         raise ValueError(f"point has length {len(wv)}, expected {rho.m}")
-    return OneForm(np.array([rho.d_z(j).eval(wv) for j in range(rho.m)]))
+    return np.array([rho.d_z(j).eval(wv) for j in range(rho.m)])
 
 
-def wedge_nonzero(forms: Sequence[OneForm], tol: float = DEFAULT_RANK_TOL) -> bool:
-    """Whether the wedge of k (1,0)-forms is nonzero, via rank of their coefficients."""
-    if not forms:
-        raise ValueError("need at least one form")
-    dim = forms[0].dim
-    if any(f.dim != dim for f in forms):
-        raise ValueError("forms must share one dimension")
-    if len(forms) > dim:
-        raise ValueError(f"{len(forms)} forms cannot be independent in dimension {dim}")
-    M = np.vstack([f.coeffs for f in forms])
+def wedge_nonzero(forms, tol: float = DEFAULT_RANK_TOL) -> bool:
+    """Whether the wedge of k (1,0)-forms is nonzero, via the rank of their coefficients.
+
+    ``forms`` holds one coefficient row per form: a list of vectors or a 2-D array.
+    """
+    M = np.asarray(forms, dtype=np.complex128)
+    if M.ndim != 2 or not len(M):
+        raise ValueError(f"need a non-empty stack of coefficient rows, got shape {M.shape}")
+    if len(M) > M.shape[1]:
+        raise ValueError(f"{len(M)} forms cannot be independent in dimension {M.shape[1]}")
     s = np.linalg.svd(M, compute_uv=False)
-    return bool(numerical_rank(s, tol) == len(forms))
+    return bool(numerical_rank(s, tol) == len(M))
 
 
 # -- criterion 1: the independence matrix ---------------------------------------
@@ -135,7 +97,6 @@ class IndependenceEvaluator:
     """Precompiled evaluator for the independence matrix of one embedding."""
 
     def __init__(self, E: GraphEmbedding):
-        self.E = E
         self.m = E.m
         self.q = E.q
         # d/dzbar_k f_j in row-major (j, k) order
@@ -171,17 +132,6 @@ class IndependenceReport:
     cr_regular: bool
     marginal: bool
     tol: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "z": [[w.real, w.imag] for w in self.z],
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-            "rank": self.rank,
-            "cr_regular": self.cr_regular,
-            "marginal": self.marginal,
-            "tol": self.tol,
-        }
 
 
 def point_report(
@@ -284,12 +234,9 @@ def two_form_identity_check(f: WPolynomial, w: Sequence[complex]) -> float:
         raise ValueError(f"point has length {len(wv)}, expected {f.m}")
     u, v = f.real_imag()
     lhs = wedge(del_form(u, wv), del_form(v, wv))
-    df = OneForm(np.array([f.d_z(j).eval(wv) for j in range(f.m)]))
-    dbar_conj = OneForm(
-        np.conj(np.array([f.d_zbar(j).eval(wv) for j in range(f.m)]))
-    )
-    rhs_coeffs = 0.5j * wedge(df, dbar_conj).coeffs
-    return float(np.abs(lhs.coeffs - rhs_coeffs).max())
+    df = [f.d_z(j).eval(wv) for j in range(f.m)]
+    dbar_conj = np.conj([f.d_zbar(j).eval(wv) for j in range(f.m)])
+    return float(np.abs(lhs - 0.5j * wedge(df, dbar_conj)).max())
 
 
 # -- agreement of all three criteria -----------------------------------------------
@@ -327,13 +274,6 @@ class EquivalenceResult:
             "sigma_min": self.sigma_min,
             "agree": self.agree,
         }
-
-
-def equivalence_check(
-    E: GraphEmbedding, z: Sequence[complex], tol: float = DEFAULT_RANK_TOL
-) -> EquivalenceResult:
-    """Run all three criteria at one point; disagreement is an internal error state."""
-    return equivalence_check_many(E, np.asarray(z, dtype=np.complex128)[None, :], tol)[0]
 
 
 def equivalence_check_many(

@@ -24,7 +24,7 @@ polynomial, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -34,9 +34,14 @@ import numpy as np
 RationalLike = Union[int, Fraction]
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
-# bounds on a polynomial read from JSON: total degree and term count
+# bounds on a polynomial read from JSON: variable count, total degree and term count
+MAX_VARIABLES = 64
 MAX_DEGREE = 64
 MAX_TERMS = 4096
+# a coefficient string's decimal exponent: Fraction expands 10**e exactly, so
+# "1e10000000" alone takes seconds to parse
+MAX_DECIMAL_EXPONENT = 9999
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +119,6 @@ def _as_gaussian(value) -> GaussianRational | None:
     return None
 
 
-GR_ZERO = GaussianRational.of(0)
 GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
 
@@ -381,6 +385,8 @@ class WPolynomial:
     def from_json_dict(data: Mapping) -> "WPolynomial":
         """Parse the serialized form strictly; malformed or oversized terms raise ValueError."""
         m = json_int(data["m"], "m")
+        if m > MAX_VARIABLES:
+            raise ValueError(f"{m} variables exceed the limit {MAX_VARIABLES}")
         terms = [
             (
                 (_json_exponents(t["alpha"]), _json_exponents(t["beta"])),
@@ -402,13 +408,6 @@ class WPolynomial:
                     f"coefficient {c} is too large: {MAX_DEGREE} times it overflows a float"
                 ) from None
         return p
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-    @staticmethod
-    def loads(text: str) -> "WPolynomial":
-        return WPolynomial.from_json_dict(json.loads(text))
 
 
 def _accumulate(out: dict[Key, GaussianRational], key: Key, c: GaussianRational) -> None:
@@ -441,7 +440,11 @@ def _json_exponents(values: Sequence) -> tuple[int, ...]:
 
 
 def _json_rational(text) -> Fraction:
-    """A coefficient part; it must parse as a fraction."""
+    """A coefficient part; it must parse as a fraction with a decimal exponent within bounds."""
+    exponent = _DECIMAL_EXPONENT.search(text) if isinstance(text, str) else None
+    if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"bad coefficient {text!r}: decimal exponent beyond "
+                         f"±{MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from crsphere import GaussianRational, WPolynomial
+from crsphere import GaussianRational, GraphEmbedding, WPolynomial
 
 UNIT_COEFFS = (
     GaussianRational.of(1),
@@ -43,3 +43,10 @@ def random_wpoly(rng, m, max_degree=4, n_terms=6, unit_coeffs=True):
             )
         terms[key] = coeff
     return WPolynomial(m, terms)
+
+
+def random_embedding(seed, m, q):
+    """Graph embedding of q seeded random polynomials in m variables."""
+    rng = np.random.default_rng(seed)
+    fs = tuple(random_wpoly(rng, m) for _ in range(q))
+    return GraphEmbedding(m, q, fs, f"random-m{m}-q{q}")

@@ -13,7 +13,6 @@ from crsphere import (
     ar_embedding,
     block_sum_embedding,
     block_support_ok,
-    catalog_embeddings,
     eval_embedding,
     make_ar_polynomial,
     make_block_sum,
@@ -25,6 +24,7 @@ from crsphere import (
 from helpers import random_unit, random_wpoly
 
 GR = GaussianRational.of
+CATALOG = [ar_embedding()] + [block_sum_embedding(n) for n in (1, 2, 3)]
 
 
 class TestArPolynomial:
@@ -171,7 +171,7 @@ class TestNegativeControls:
 
 class TestSerialization:
     def test_catalog_round_trips(self):
-        for E in catalog_embeddings(max_blocks=3):
+        for E in CATALOG:
             assert GraphEmbedding.loads(E.dumps()) == E
 
     def test_controls_round_trip(self):
@@ -195,7 +195,7 @@ class TestSerialization:
 
 
 def test_catalog_labels_distinct():
-    labels = [E.label for E in catalog_embeddings()]
+    labels = [E.label for E in CATALOG]
     assert len(labels) == len(set(labels))
 
 

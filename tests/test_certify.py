@@ -1,12 +1,16 @@
 """Sampling sweeps, multistart minimization, determinism, and the 1-D oracle."""
 
+import dataclasses
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from crsphere import certify
 from crsphere import (
     CertificateReport,
-    GraphEmbedding,
+    GaussianRational,
     IndependenceEvaluator,
     MinimizeOptions,
     OBJECTIVE_DET_SQ,
@@ -14,22 +18,24 @@ from crsphere import (
     VERDICT_ALL_REGULAR,
     VERDICT_FAILURE,
     VERDICT_MARGINAL,
+    WPolynomial,
     ar_det_sq_of_t,
     ar_determinant_profile,
     ar_embedding,
     block_sum_embedding,
     is_ar_embedding,
     local_minimize,
+    make_ar_polynomial,
     make_negative_control,
     multistart_minimize,
     point_report,
     sample_sphere,
     sigma_histogram,
     sweep,
-    worker_count,
+    verify_ar_identity,
     write_histogram_csv,
 )
-from helpers import random_wpoly
+from helpers import random_embedding
 
 # best value Nelder-Mead reached for block-sum-n3 with 64 restarts and seed 42
 BLOCK_N3_SIGMA_MIN_SQ = 0.010975459345
@@ -119,12 +125,9 @@ class TestSweep:
 
 
 class TestWorkerCount:
-    def test_explicit_wins(self):
-        assert worker_count(3) == 3
-
     def test_invalid_explicit(self):
-        with pytest.raises(ValueError):
-            worker_count(0)
+        with pytest.raises(ValueError, match="workers"):
+            SweepConfig(workers=0)
 
 
 class TestLocalMinimize:
@@ -171,11 +174,6 @@ class TestLocalMinimize:
         assert lm.value <= lm.start_value
 
 
-def _random_embedding(seed, m, q):
-    rng = np.random.default_rng(seed)
-    return GraphEmbedding(m, q, tuple(random_wpoly(rng, m) for _ in range(q)), "random")
-
-
 class TestDescentGradient:
     @pytest.mark.parametrize(
         "E, objective",
@@ -183,8 +181,8 @@ class TestDescentGradient:
             (ar_embedding(), "sigma_min_sq"),
             (ar_embedding(), OBJECTIVE_DET_SQ),
             (block_sum_embedding(2), "sigma_min_sq"),
-            (_random_embedding(5, 3, 1), "sigma_min_sq"),
-            (_random_embedding(6, 4, 2), "sigma_min_sq"),
+            (random_embedding(5, 3, 1), "sigma_min_sq"),
+            (random_embedding(6, 4, 2), "sigma_min_sq"),
         ],
         ids=["ar-sigma", "ar-det", "block-sum-n2", "random-m3-q1", "random-m4-q2"],
     )
@@ -308,19 +306,52 @@ class TestProfile:
         assert abs(vmin - 1 / 9) < 1e-10
         assert min(abs(t_star - 1 / 3), abs(t_star - 2 / 3)) < 1e-5
 
+    def test_profile_derived_from_exact_identity(self):
+        # the determinant of the independence matrix (z; dP/dzbar) is minus the
+        # left side of the Ahern-Rudin identity, so |det|^2 = |rhs|^2 exactly
+        P = make_ar_polynomial()
+        z1, z2 = WPolynomial.variable(2, 0), WPolynomial.variable(2, 1)
+        identity = verify_ar_identity()
+        assert identity.holds
+        assert z1 * P.d_zbar(1) - z2 * P.d_zbar(0) == -identity.lhs
+        rhs = identity.rhs
+        # every term of rhs is |z1|^(2 a1) |z2|^(2 a2): a function of t = |z1|^2 on the sphere
+        assert all(alpha == beta for alpha, beta in rhs.terms)
+        # |rhs|^2 and the sum of squares are quartics in t: equal at 6 points, equal everywhere
+        for t in map(Fraction, ("0", "1/4", "1/3", "1/2", "2/3", "1")):
+            value = sum(
+                (c * (t**a1 * (1 - t) ** a2) for ((a1, a2), _), c in rhs.terms.items()),
+                GaussianRational.of(0),
+            )
+            det_sq = value.re**2 + value.im**2
+            third = Fraction(1, 3)
+            assert det_sq == third**2 + 18 * (t - third) ** 2 * (t - 2 * third) ** 2
+            assert abs(float(det_sq) - ar_det_sq_of_t(float(t))) <= 1e-15
+
     def test_resolution_validated(self):
         with pytest.raises(ValueError, match="resolution"):
             ar_determinant_profile(100)
 
 
+def _assert_json_holds_every_compared_field(rep: CertificateReport) -> None:
+    data = json.loads(rep.dumps())
+    compared = [f.name for f in dataclasses.fields(CertificateReport) if f.compare]
+    assert sorted(data) == sorted(compared)
+    assert data == rep.to_json_dict()
+    assert tuple(complex(*w) for w in data["argmin_z"]) == rep.argmin_z
+    assert tuple(
+        (tuple(complex(*w) for w in entry["z"]), entry["value"])
+        for entry in data["converged_minima"]
+    ) == rep.converged_minima
+
+
 class TestReportSerialization:
     def test_sweep_report_round_trips(self):
-        rep = sweep(ar_embedding(), SweepConfig(samples=500, seed=2))
-        assert CertificateReport.loads(rep.dumps()) == rep
+        _assert_json_holds_every_compared_field(
+            sweep(ar_embedding(), SweepConfig(samples=500, seed=2)))
 
     def test_multistart_report_round_trips(self):
-        rep = multistart_minimize(ar_embedding(), 2, 2)
-        assert CertificateReport.loads(rep.dumps()) == rep
+        _assert_json_holds_every_compared_field(multistart_minimize(ar_embedding(), 2, 2))
 
     def test_is_ar_embedding_detector(self):
         assert is_ar_embedding(ar_embedding())

@@ -1,6 +1,7 @@
 """Exact polynomial ring, Wirtinger derivatives, evaluation, serialization."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from crsphere import (
     make_ar_polynomial,
     wirtinger_fd,
 )
-from crsphere.wirtinger import MAX_DEGREE, MAX_TERMS
+from crsphere.wirtinger import MAX_DECIMAL_EXPONENT, MAX_DEGREE, MAX_TERMS, MAX_VARIABLES
 from helpers import random_unit, random_wpoly
 
 GR = GaussianRational.of
@@ -309,7 +310,7 @@ class TestSerialization:
         rng = np.random.default_rng(21)
         for _ in range(10):
             p = random_wpoly(rng, 3, unit_coeffs=False)
-            assert WPolynomial.loads(p.dumps()) == p
+            assert WPolynomial.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
 
     def test_canonical_term_order(self):
         p = WPolynomial(
@@ -342,6 +343,9 @@ class TestSerialization:
         assert term["im"] == "2/7"
 
     def test_size_bounds(self):
+        assert WPolynomial.from_json_dict({"m": MAX_VARIABLES, "terms": []}).m == MAX_VARIABLES
+        with pytest.raises(ValueError, match="variables exceed"):
+            WPolynomial.from_json_dict({"m": MAX_VARIABLES + 1, "terms": []})
         at_bound = [{"alpha": [MAX_DEGREE], "beta": [0], "re": "1", "im": "0"}]
         assert WPolynomial.from_json_dict({"m": 1, "terms": at_bound}).degree == MAX_DEGREE
         exps = itertools.islice(itertools.product(range(17), repeat=3), MAX_TERMS + 1)
@@ -354,3 +358,8 @@ class TestSerialization:
         dup = [{"alpha": [0], "beta": [2], "re": "2e306", "im": "0"}] * MAX_DEGREE
         with pytest.raises(ValueError, match="too large"):
             WPolynomial.from_json_dict({"m": 1, "terms": dup})
+        tiny = [{"alpha": [1], "beta": [0], "re": f"1e-{MAX_DECIMAL_EXPONENT}", "im": "0"}]
+        assert len(WPolynomial.from_json_dict({"m": 1, "terms": tiny})) == 1
+        tiny[0]["re"] = f"1e-{MAX_DECIMAL_EXPONENT + 1}"
+        with pytest.raises(ValueError, match="decimal exponent"):
+            WPolynomial.from_json_dict({"m": 1, "terms": tiny})
