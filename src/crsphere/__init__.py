@@ -60,13 +60,13 @@ from .certify import (
     VERDICT_MARGINAL,
     ar_det_sq_of_t,
     ar_determinant_profile,
+    histogram_csv,
     is_ar_embedding,
     local_minimize,
     multistart_minimize,
     sample_sphere,
     sigma_histogram,
     sweep,
-    write_histogram_csv,
 )
 
 __all__ = [
@@ -86,7 +86,7 @@ __all__ = [
     # certify
     "CertificateReport", "MinimizeOptions", "OBJECTIVE_DET_SQ", "SweepConfig",
     "VERDICT_ALL_REGULAR", "VERDICT_FAILURE", "VERDICT_MARGINAL",
-    "ar_det_sq_of_t", "ar_determinant_profile", "is_ar_embedding",
-    "local_minimize", "multistart_minimize", "sample_sphere",
-    "sigma_histogram", "sweep", "write_histogram_csv",
+    "ar_det_sq_of_t", "ar_determinant_profile", "histogram_csv", "is_ar_embedding",
+    "local_minimize", "multistart_minimize", "sample_sphere", "sigma_histogram",
+    "sweep",
 ]

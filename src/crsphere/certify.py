@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .verifier import (
     DEFAULT_RANK_TOL,
     IndependenceEvaluator,
     _is_marginal,
+    complex_pairs,
     numerical_rank,
     point_report,
 )
@@ -59,6 +61,30 @@ OBJECTIVE_SIGMA_MIN_SQ = "sigma_min_sq"
 OBJECTIVE_DET_SQ = "det_sq"
 
 
+class ConfigError(ValueError):
+    """A run setting out of its range; ``name`` is the parameter, also its CLI flag."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"{name}: {reason}")
+        self.name = name
+
+
+# the range [low, high] of each integer run setting; a sweep worker is a thread
+_RANGES = {"samples": (1, inf), "seed": (0, inf), "workers": (1, 64), "restarts": (1, inf)}
+
+
+def _check_range(name: str, value: int | None) -> None:
+    low, high = _RANGES[name]
+    if value is not None and not low <= value <= high:
+        raise ConfigError(name, f"must lie in [{low}, {high}], got {value}")
+
+
+def _check_tol(tol: float) -> None:
+    # sigma_min <= sigma_max, so a tol of 1 or more gives every matrix rank 0
+    if not 0 < tol < 1:  # NaN too
+        raise ConfigError("tol", f"must lie in (0, 1), got {tol}")
+
+
 def sample_sphere(m: int, count: int, seed: int) -> np.ndarray:
     """Uniform points on the unit sphere of C^m, shape (count, m).
 
@@ -82,12 +108,10 @@ class SweepConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        _check_range("samples", self.samples)
+        _check_range("seed", self.seed)
+        _check_tol(self.tol)
+        _check_range("workers", self.workers)
 
 
 @dataclass
@@ -116,24 +140,13 @@ class CertificateReport:
     )
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "restarts": self.restarts,
-            "min_sigma": self.min_sigma,
-            "sigma_max_at_argmin": self.sigma_max_at_argmin,
-            "argmin_z": [[w.real, w.imag] for w in self.argmin_z],
-            "converged_minima": [
-                {"z": [[w.real, w.imag] for w in z], "value": value}
-                for z, value in self.converged_minima
-            ],
-            "verdict": self.verdict,
-            "objective": self.objective,
-            "best_value": self.best_value,
-            "extras": self.extras,
-        }
+        """Every compared field, with points as lists of ``[re, im]`` pairs."""
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        data["argmin_z"] = complex_pairs(self.argmin_z)
+        data["converged_minima"] = [
+            {"z": complex_pairs(z), "value": value} for z, value in self.converged_minima
+        ]
+        return data
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
@@ -197,7 +210,8 @@ class MinimizeOptions:
 
     def __post_init__(self):
         if self.objective not in (OBJECTIVE_SIGMA_MIN_SQ, OBJECTIVE_DET_SQ):
-            raise ValueError(f"unknown objective {self.objective!r}")
+            raise ConfigError("objective", f"unknown objective {self.objective!r}")
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -236,8 +250,8 @@ def _value_and_gradient(E: GraphEmbedding, objective: str):
     ``G - Re<G, z> z`` onto the tangent space is returned.
     """
     if objective == OBJECTIVE_DET_SQ and E.q + 1 != E.m:
-        raise ValueError(
-            "det_sq objective needs a square independence matrix (q+1 == m)"
+        raise ConfigError(
+            "objective", f"det_sq needs a square matrix (q+1 == m), got q={E.q}, m={E.m}"
         )
     m, qm = E.m, E.q * E.m
     g = [fj.d_zbar(k) for fj in E.f for k in range(m)]
@@ -372,8 +386,8 @@ def multistart_minimize(
     all of them descend together in one batch (``_descend``).
     Deterministic for fixed (restarts, seed).
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    _check_range("restarts", restarts)
+    _check_range("seed", seed)
     evaluate = _value_and_gradient(E, opts.objective)
     n_scan = max(_COARSE_SCAN, restarts)
     Z = sample_sphere(E.m, n_scan, seed)
@@ -454,10 +468,9 @@ def sigma_histogram(
     return edges, counts
 
 
-def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:
-    """CSV with columns bin_left, bin_right, count."""
+def histogram_csv(edges: np.ndarray, counts: np.ndarray) -> str:
+    """CSV text with columns bin_left, bin_right, count."""
     lines = ["bin_left,bin_right,count"]
     for i, c in enumerate(counts):
         lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

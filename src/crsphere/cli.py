@@ -1,10 +1,12 @@
 """Command-line entry point: construct embeddings, check the exact identity,
 verify regularity by sampling, and hunt degeneracies by minimization.
 
-Exit codes: 0 success/verified, 1 identity failure, 2 regularity failure (or
-marginal verdict), 3 internal criterion disagreement, 64 usage errors,
-65 unreadable or malformed input files and embeddings whose values overflow a
-float, 70 internal faults (the traceback goes to standard error).
+Exit codes: 0 success/verified, 1 identity failure, 2 regularity failure or
+marginal verdict from verify or minimize (the witness point is printed),
+3 internal criterion disagreement, 64 usage errors (among them --tol outside
+(0, 1) and --workers outside [1, 64]), 65 unreadable or malformed input files
+and embeddings whose values overflow a float, 70 internal faults (the
+traceback goes to standard error), 73 an output file that cannot be written.
 
 Human-readable summaries go to standard output; machine artifacts (embedding
 files, reports, histograms) go to files.  The file named by ``--out`` or
@@ -37,18 +39,19 @@ from .catalog import (
     verify_ar_identity,
 )
 from .certify import (
+    ConfigError,
     MinimizeOptions,
     OBJECTIVE_DET_SQ,
     OBJECTIVE_SIGMA_MIN_SQ,
     SweepConfig,
     VERDICT_ALL_REGULAR,
     ar_det_sq_of_t,
+    histogram_csv,
     is_ar_embedding,
     multistart_minimize,
     sample_sphere,
     sigma_histogram,
     sweep,
-    write_histogram_csv,
 )
 from .verifier import equivalence_check_many
 from .wirtinger import MAX_VARIABLES, NonFiniteError, WPolynomial
@@ -60,6 +63,7 @@ EXIT_CRITERION_DISAGREEMENT = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
+EXIT_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,6 +82,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write(path, text: str) -> None:
+    """Write an output file; a failure exits 73 (EX_CANTCREAT), not as a fault."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(EXIT_CANTCREAT, f"cannot write {path}: {exc}") from exc
+
+
 def _write_manifest(args, wall_time_s: float) -> None:
     """The reproducibility sidecar of the command's output file, if it wrote one."""
     out = getattr(args, "out", None) or getattr(args, "report", None)
@@ -94,9 +106,7 @@ def _write_manifest(args, wall_time_s: float) -> None:
         "wall_time_s": wall_time_s,
         "for": out.name,
     }
-    manifest_path_for(out).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write(manifest_path_for(out), json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_embedding(path: str) -> GraphEmbedding:
@@ -117,14 +127,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
-
-
-def _check_flags(*checks: tuple[bool, str]) -> None:
-    """Raise the usage error of the first failed (condition, message) pair."""
-    for ok, message in checks:
-        if not ok:
-            raise CliError(EXIT_USAGE, message)
 
 
 # -- construct ---------------------------------------------------------------------
@@ -145,7 +147,7 @@ def cmd_construct(args) -> int:
             )
         E = make_negative_control(args.preset, args.m)
     out = Path(args.out)
-    out.write_text(E.dumps() + "\n", encoding="utf-8")
+    _write(out, E.dumps() + "\n")
     print(f"wrote {E.label}: S^{2 * E.m - 1} -> C^{E.m + E.q} ({out})")
     return EXIT_OK
 
@@ -164,33 +166,35 @@ def cmd_identity_check(args) -> int:
     print(f"rhs ({len(result.rhs)} terms):      {result.rhs}")
     print(f"residual ({len(result.residual)} terms): {result.residual}")
     print("identity holds" if result.holds else "IDENTITY FAILED")
-    if args.report:
-        out = Path(args.report)
-        payload = {
-            "holds": result.holds,
-            "lhs": result.lhs.to_json_dict(),
-            "rhs": result.rhs.to_json_dict(),
-            "residual": result.residual.to_json_dict(),
-        }
-        out.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    if args.report:  # the result's fields, each polynomial in its file format
+        text = json.dumps(
+            vars(result), default=WPolynomial.to_json_dict, sort_keys=True, indent=2
         )
+        _write(args.report, text + "\n")
     return EXIT_OK if result.holds else EXIT_IDENTITY_FAILURE
+
+
+def _finish(args, report, summary: str, disagreement=None) -> int:
+    """Write the report, print the summary; exit 3 on a disagreement, else by verdict."""
+    report.extras["manifest_file"] = manifest_path_for(Path(args.report)).name
+    _write(args.report, report.dumps() + "\n")
+    print(summary)
+    if disagreement is not None:
+        print(f"INTERNAL INCONSISTENCY at z = {disagreement.z}")
+        return EXIT_CRITERION_DISAGREEMENT
+    if report.verdict == VERDICT_ALL_REGULAR:
+        return EXIT_OK
+    print(f"witness point: {list(report.argmin_z)}")
+    return EXIT_REGULARITY_FAILURE
 
 
 # -- verify --------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    _check_flags(
-        (args.samples >= 1, "--samples must be >= 1"),
-        (args.seed >= 0, "--seed must be >= 0"),
-        (args.tol > 0, "--tol must be positive"),
-        (args.workers is None or args.workers >= 1, "--workers must be >= 1"),
-    )
-    E = _load_embedding(args.embedding)
     cfg = SweepConfig(
         samples=args.samples, seed=args.seed, tol=args.tol, workers=args.workers
     )
+    E = _load_embedding(args.embedding)
     report = sweep(E, cfg)
 
     # spot checks on the sweep's first samples (the stream is prefix-stable)
@@ -204,45 +208,24 @@ def cmd_verify(args) -> int:
         "disagreements": [r.to_json_dict() for r in disagreements],
     }
 
-    out = Path(args.report)
-    report.extras["manifest_file"] = manifest_path_for(out).name
-    out.write_text(report.dumps() + "\n", encoding="utf-8")
-    if args.hist:
+    if args.hist:  # before the report, so a failed write leaves neither
         edges, counts = sigma_histogram(report.sigma_min_samples)
-        write_histogram_csv(args.hist, edges, counts)
+        _write(args.hist, histogram_csv(edges, counts))
 
-    print(
+    summary = (
         f"{E.label}: verdict {report.verdict}; min sigma_min "
         f"{report.min_sigma:.6e} over {cfg.samples} samples; "
         f"{spot} equivalence spot checks, {len(disagreements)} disagreements"
     )
-    if disagreements:
-        print(f"INTERNAL INCONSISTENCY at z = {disagreements[0].z}")
-        return EXIT_CRITERION_DISAGREEMENT
-    if report.verdict != VERDICT_ALL_REGULAR:
-        print(f"witness point: {list(report.argmin_z)}")
-        return EXIT_REGULARITY_FAILURE
-    return EXIT_OK
+    return _finish(args, report, summary, disagreements[0] if disagreements else None)
 
 
 # -- minimize -------------------------------------------------------------------------
 
 def cmd_minimize(args) -> int:
-    _check_flags(
-        (args.restarts >= 1, "--restarts must be >= 1"),
-        (args.seed >= 0, "--seed must be >= 0"),
-        (args.tol > 0, "--tol must be positive"),
-    )
-    E = _load_embedding(args.embedding)
-    _check_flags(
-        (args.objective != "det" or E.q + 1 == E.m,
-         f"--objective det needs a square independence matrix (q+1 == m), "
-         f"got q={E.q}, m={E.m}"),
-    )
-    objective = (
-        OBJECTIVE_DET_SQ if args.objective == "det" else OBJECTIVE_SIGMA_MIN_SQ
-    )
+    objective = OBJECTIVE_DET_SQ if args.objective == "det" else OBJECTIVE_SIGMA_MIN_SQ
     opts = MinimizeOptions(objective=objective, tol=args.tol)
+    E = _load_embedding(args.embedding)
     report = multistart_minimize(E, args.restarts, args.seed, opts)
 
     if is_ar_embedding(E):
@@ -263,25 +246,21 @@ def cmd_minimize(args) -> int:
             "gap": abs(det_report.best_value - profile_min),
         }
 
-    out = Path(args.report)
-    report.extras["manifest_file"] = manifest_path_for(out).name
-    out.write_text(report.dumps() + "\n", encoding="utf-8")
-
-    print(
+    lines = [
         f"{E.label}: best {objective} = {report.best_value:.6e} at "
         f"{list(report.argmin_z)}; verdict {report.verdict}"
-    )
+    ]
     unconverged = report.extras.get("unconverged_restarts", 0)
     if unconverged:
-        print(f"warning: {unconverged} restart(s) did not converge "
-              "(iteration cap or stalled step)")
+        lines.append(f"warning: {unconverged} restart(s) did not converge "
+                     "(iteration cap or stalled step)")
     if "ar_cross_check" in report.extras:
         cc = report.extras["ar_cross_check"]
-        print(
+        lines.append(
             f"1-D profile cross-check: best |det|^2 {cc['best_det_sq']:.9e} vs "
             f"profile {cc['profile_min']:.9e} (gap {cc['gap']:.3e})"
         )
-    return EXIT_OK
+    return _finish(args, report, "\n".join(lines))
 
 
 # -- wiring ---------------------------------------------------------------------------
@@ -350,8 +329,11 @@ def main(argv=None) -> int:
         _write_manifest(args, time.perf_counter() - t0)
         return code
     except CliError as exc:
-        print(exc.message, file=sys.stderr)
+        print(exc, file=sys.stderr)
         return exc.code
+    except ConfigError as exc:
+        print(f"error: --{exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NonFiniteError as exc:
         print(f"error: {exc}: the embedding cannot be evaluated in floating point",
               file=sys.stderr)

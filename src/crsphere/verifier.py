@@ -20,7 +20,7 @@ any disagreement as an internal inconsistency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -241,6 +241,11 @@ def two_form_identity_check(f: WPolynomial, w: Sequence[complex]) -> float:
 
 # -- agreement of all three criteria -----------------------------------------------
 
+def complex_pairs(z: Sequence[complex]) -> list[list[float]]:
+    """A point's coordinates as the ``[re, im]`` pairs that reports write."""
+    return [[w.real, w.imag] for w in z]
+
+
 @dataclass(frozen=True)
 class EquivalenceResult:
     """Verdicts of the three criteria at one point, plus their agreement."""
@@ -263,17 +268,7 @@ class EquivalenceResult:
         return self.rank_pass and self.wedge_pass and self.tangent_pass
 
     def to_json_dict(self) -> dict:
-        return {
-            "z": [[w.real, w.imag] for w in self.z],
-            "tol": self.tol,
-            "rank_pass": self.rank_pass,
-            "wedge_pass": self.wedge_pass,
-            "tangent_pass": self.tangent_pass,
-            "cr_dim": self.cr_dim,
-            "expected_cr_dim": self.expected_cr_dim,
-            "sigma_min": self.sigma_min,
-            "agree": self.agree,
-        }
+        return {**asdict(self), "z": complex_pairs(self.z), "agree": self.agree}
 
 
 def equivalence_check_many(

@@ -23,6 +23,7 @@ from crsphere import (
     ar_determinant_profile,
     ar_embedding,
     block_sum_embedding,
+    histogram_csv,
     is_ar_embedding,
     local_minimize,
     make_ar_polynomial,
@@ -33,7 +34,6 @@ from crsphere import (
     sigma_histogram,
     sweep,
     verify_ar_identity,
-    write_histogram_csv,
 )
 from helpers import random_embedding
 
@@ -118,16 +118,32 @@ class TestSweep:
         assert point_report(E, rep.argmin_z, tol).marginal
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SweepConfig(samples=0)
-        with pytest.raises(ValueError):
-            SweepConfig(tol=0.0)
+        nan = float("nan")
+        for config, kwargs, name in [
+            (SweepConfig, {"samples": 0}, "samples"),
+            (SweepConfig, {"seed": -1}, "seed"),
+            (SweepConfig, {"tol": 0.0}, "tol"),
+            (SweepConfig, {"tol": 1.0}, "tol"),
+            (SweepConfig, {"tol": nan}, "tol"),
+            (SweepConfig, {"workers": 0}, "workers"),
+            (SweepConfig, {"workers": 65}, "workers"),
+            (MinimizeOptions, {"tol": 0.0}, "tol"),
+            (MinimizeOptions, {"tol": 1.0}, "tol"),
+            (MinimizeOptions, {"tol": nan}, "tol"),
+        ]:
+            # a ValueError to library callers, naming the setting (its CLI flag)
+            with pytest.raises(certify.ConfigError, match=name) as exc:
+                config(**kwargs)
+            assert isinstance(exc.value, ValueError) and exc.value.name == name
+        SweepConfig(workers=64)
 
 
 class TestWorkerCount:
     def test_invalid_explicit(self):
-        with pytest.raises(ValueError, match="workers"):
-            SweepConfig(workers=0)
+        for workers in (0, -3):
+            with pytest.raises(certify.ConfigError, match="workers") as exc:
+                SweepConfig(workers=workers)
+            assert exc.value.name == "workers"
 
 
 class TestLocalMinimize:
@@ -367,11 +383,9 @@ class TestHistogram:
         assert counts.sum() == 2_000
         assert len(edges) == len(counts) + 1
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         edges, counts = sigma_histogram(np.array([0.1, 0.2, 0.3]), bins=4)
-        path = tmp_path / "hist.csv"
-        write_histogram_csv(path, edges, counts)
-        lines = path.read_text().strip().splitlines()
+        lines = histogram_csv(edges, counts).strip().splitlines()
         assert lines[0] == "bin_left,bin_right,count"
         assert len(lines) == 5
         total = sum(int(line.split(",")[2]) for line in lines[1:])

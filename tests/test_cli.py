@@ -1,9 +1,12 @@
 """Command-line workflows: construction, verification, minimization, exit codes."""
 
+import contextlib
 import copy
 import functools
 import hashlib
+import io
 import json
+import math
 import operator
 import subprocess
 import sys
@@ -239,7 +242,13 @@ class TestVerify:
                    "--report", str(tmp_path / "r.json")) == 65
 
     def test_missing_embedding(self, tmp_path):
-        assert run("verify", str(tmp_path / "nope.json"), "--report", str(tmp_path / "r.json")) == 65
+        nope, report = str(tmp_path / "nope.json"), str(tmp_path / "r.json")
+        assert run("verify", nope, "--report", report) == 65
+        # the configs check --samples/--tol before the embedding is read, while
+        # multistart_minimize checks --restarts after it
+        assert run("verify", nope, "--samples", "0", "--report", report) == 64
+        assert run("minimize", nope, "--tol", "0", "--report", report) == 64
+        assert run("minimize", nope, "--restarts", "0", "--report", report) == 65
 
     def test_histogram_export(self, tmp_path):
         emb = self._write_ar(tmp_path)
@@ -281,14 +290,16 @@ class TestMinimize:
         assert (cc["profile_min"], cc["profile_argmin_t"]) == (1 / 9, 1 / 3)
         assert "cross-check" in capsys.readouterr().out
 
-    def test_radial_control_reports_zero(self, tmp_path):
+    def test_radial_control_reports_zero(self, tmp_path, capsys):
         emb = tmp_path / "radial.json"
         run("construct", "--preset", "radial", "--m", "2", "--out", str(emb))
         report = tmp_path / "min.json"
-        assert run("minimize", str(emb), "--restarts", "2", "--report", str(report)) == 0
+        assert run("minimize", str(emb), "--restarts", "2", "--report", str(report)) == 2
         rep = json.loads(report.read_text())
         assert rep["best_value"] <= 1e-18
         assert rep["verdict"] == "failure-found"
+        witness = [complex(*w) for w in rep["argmin_z"]]
+        assert capsys.readouterr().out.splitlines()[-1] == f"witness point: {witness}"
 
     def test_manifest(self, tmp_path):
         emb = tmp_path / "ar.json"
@@ -393,15 +404,91 @@ def test_overflowing_embedding_is_data_error(tmp_path, capsys, argv):
         ("ar", ("minimize", "--tol", "0")),
         ("ar", ("minimize", "--seed", "-1")),
         ("q-block", ("minimize", "--objective", "det")),
+        ("ar", ("verify", "--tol", "1")),
+        ("ar", ("verify", "--tol", "inf")),
+        ("ar", ("minimize", "--tol", "inf")),
+        ("ar", ("verify", "--workers", "65")),  # refused before any thread starts
     ],
     ids=["verify-samples-0", "verify-tol-0", "verify-workers-0", "verify-seed-negative",
-         "minimize-tol-0", "minimize-seed-negative", "minimize-det-non-square"],
+         "minimize-tol-0", "minimize-seed-negative", "minimize-det-non-square",
+         "verify-tol-1", "verify-tol-inf", "minimize-tol-inf", "verify-workers-65"],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, preset, argv):
     emb = tmp_path / "e.json"
     run("construct", "--preset", preset, "--n", "2", "--out", str(emb))
     assert run(argv[0], str(emb), *argv[1:], "--report", str(tmp_path / "r.json")) == 64
     assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--preset", "ar", "--out", "{missing}"),
+        ("verify", "{emb}", "--samples", "500", "--report", "{missing}"),
+        ("verify", "{emb}", "--samples", "500", "--report", "{tmp}/r.json",
+         "--hist", "{missing}"),
+    ],
+    ids=["construct-out", "verify-report", "verify-hist"],
+)
+def test_unwritable_output_is_cantcreat(tmp_path, capsys, argv):
+    emb = tmp_path / "ar.json"
+    run("construct", "--preset", "ar", "--out", str(emb))
+    missing = tmp_path / "no-such-dir" / "x"
+    argv = [a.format(emb=emb, missing=missing, tmp=tmp_path) for a in argv]
+    assert run(*argv) == 73
+    err = capsys.readouterr().err
+    assert f"cannot write {missing}" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [emb, tmp_path / "ar.json.manifest.json"]
+
+
+_IN_RANGE = {
+    "samples": st.integers(1, 2_000),
+    "restarts": st.integers(1, 4),
+    "workers": st.integers(1, 8),
+    "seed": st.integers(0, 2**32),
+    "tol": st.floats(0, 1e-3, exclude_min=True),
+}
+_OUT_OF_RANGE = {
+    "samples": st.integers(max_value=0),
+    "restarts": st.integers(max_value=0),
+    "workers": st.integers(max_value=0) | st.integers(65, 10**6),  # refused, never started
+    "seed": st.integers(max_value=-1),
+    "tol": st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.floats(max_value=0) | st.floats(min_value=1),
+}
+_SETTINGS = {"verify": ("samples", "seed", "tol", "workers"),
+             "minimize": ("restarts", "seed", "tol")}
+
+
+@st.composite
+def _flag_values(draw):
+    """A command and a value for each of its range-checked flags, some out of range."""
+    command = draw(st.sampled_from(sorted(_SETTINGS)))
+    bad = draw(st.sets(st.sampled_from(_SETTINGS[command])))
+    values = {name: draw((_OUT_OF_RANGE if name in bad else _IN_RANGE)[name])
+              for name in _SETTINGS[command]}
+    return command, values, bad
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_flag_values())
+def test_flag_values_exit_usage_exactly_when_out_of_range(case):
+    command, values, bad = case
+    with tempfile.TemporaryDirectory() as tmp:
+        emb, report = Path(tmp) / "ar.json", Path(tmp) / "r.json"
+        emb.write_text(ar_embedding().dumps() + "\n")
+        # --flag=value, so argparse does not take a negative value for a flag
+        argv = [command, str(emb), "--report", str(report)]
+        argv += [f"--{name}={value!r}" for name, value in values.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(*argv)
+        if bad:
+            assert code == 64
+            assert any(f"--{name}" in err.getvalue() for name in bad)
+            assert sorted(Path(tmp).iterdir()) == [emb]  # no report, no manifest
+        else:
+            assert code == 0, err.getvalue()
 
 
 _JSON = st.recursive(
