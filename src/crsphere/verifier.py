@@ -111,8 +111,36 @@ class IndependenceEvaluator:
         return np.concatenate([Z[:, None, :], grads], axis=1)
 
     def singular_values_many(self, points: np.ndarray) -> np.ndarray:
-        """Singular values (descending) per point, shape (n, q+1)."""
-        return np.linalg.svd(self.matrix_many(points), compute_uv=False)
+        """Singular values (descending) per point, shape (n, q+1).
+
+        For q = 1 they come in closed form from the rows z and g of the 2 x m
+        matrix.  ``sigma_max^2 + sigma_min^2 = |z|^2 + |g|^2``, and
+        ``sigma_max^2 sigma_min^2 = D``, the Gram determinant, which Lagrange's
+        identity gives as the sum over i < j of ``|z_i g_j - z_j g_i|^2``.  D is
+        summed from these minors, never as ``|z|^2 |g|^2 - |<z, g>|^2``, whose
+        cancellation leaves sigma_min near 1e-8, not 0, where g is parallel to
+        z.  The discriminant of the quadratic for ``sigma_max^2`` is written as
+        the sum of squares ``(|z|^2 - |g|^2)^2 + 4 |<z, g>|^2``, not as
+        ``tr^2 - 4D``, so ``sigma_max`` keeps full precision where the two
+        values nearly meet; then ``sigma_min^2 = D / sigma_max^2``.  For q > 1
+        a batched SVD.
+        """
+        M = self.matrix_many(points)
+        if self.q > 1:
+            return np.linalg.svd(M, compute_uv=False)
+        z, g = M[:, 0], M[:, 1]
+        D = np.zeros(len(M))
+        # a plain loop over the pairs beats gathering them with triu_indices
+        for i in range(self.m):
+            for j in range(i + 1, self.m):
+                minor = z[:, i] * g[:, j] - z[:, j] * g[:, i]
+                D += minor.real**2 + minor.imag**2
+        zz = np.sum(z.real**2 + z.imag**2, axis=1)
+        gg = np.sum(g.real**2 + g.imag**2, axis=1)
+        zg = np.abs(np.sum(z * np.conj(g), axis=1))
+        smax_sq = (zz + gg + np.hypot(zz - gg, 2 * zg)) / 2
+        smin_sq = np.divide(D, smax_sq, out=np.zeros_like(D), where=smax_sq > 0)
+        return np.sqrt(np.stack([smax_sq, smin_sq], axis=1))
 
 
 def independence_matrix(E: GraphEmbedding, z: Sequence[complex]) -> np.ndarray:
@@ -140,10 +168,11 @@ def point_report(
     """Singular-value rank test of the independence matrix at z."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    s = np.linalg.svd(independence_matrix(E, z), compute_uv=False)
+    zv = require_on_sphere(z, E.m)
+    s = IndependenceEvaluator(E).singular_values_many(zv[None, :])[0]
     rank = int(numerical_rank(s, tol))
     return IndependenceReport(
-        z=tuple(complex(w) for w in np.asarray(z, dtype=np.complex128)),
+        z=tuple(complex(w) for w in zv),
         sigma_min=float(s[-1]),
         sigma_max=float(s[0]),
         rank=rank,
@@ -279,7 +308,8 @@ def equivalence_check_many(
     if Z.ndim != 2:
         raise ValueError(f"expected shape (n, {E.m}), got {Z.shape}")
 
-    s = IndependenceEvaluator(E).singular_values_many(Z)
+    # an SVD, not singular_values_many: this route cross-checks the closed form
+    s = np.linalg.svd(IndependenceEvaluator(E).matrix_many(Z), compute_uv=False)
     rank_pass = numerical_rank(s, tol) == E.q + 1
 
     rhos = defining_functions(E)

@@ -109,6 +109,19 @@ class TestSweep:
         r4 = sweep(E, SweepConfig(samples=9_000, seed=5, workers=4))
         assert r1.dumps() == r4.dumps()
 
+    @pytest.mark.parametrize(
+        "E", [block_sum_embedding(3), random_embedding(31, 3, 1)], ids=lambda E: E.label
+    )
+    def test_worker_count_does_not_change_report_with_many_minors(self, E):
+        # 15 and 3 minors per point, and a last chunk shorter than the others
+        samples = 9_001
+        assert samples % certify._CHUNK
+        r1 = sweep(E, SweepConfig(samples=samples, seed=5, workers=1))
+        r2 = sweep(E, SweepConfig(samples=samples, seed=5, workers=2))
+        assert r1.dumps() == r2.dumps()
+        assert np.array_equal(r1.sigma_min_samples, r2.sigma_min_samples)
+        assert np.array_equal(r1.sigma_max_samples, r2.sigma_max_samples)
+
     def test_threshold_near_margin_is_marginal(self):
         E = ar_embedding()
         first = sweep(E, SweepConfig(samples=2_000, seed=42))

@@ -5,6 +5,7 @@ import pytest
 
 from crsphere import (
     GaussianRational,
+    IndependenceEvaluator,
     WPolynomial,
     ar_embedding,
     block_sum_embedding,
@@ -58,6 +59,64 @@ class TestIndependenceMatrix:
 def test_wrong_length_point_rejected(check, point):
     with pytest.raises(ValueError, match="length"):
         check(ar_embedding(), point)
+
+
+def _svd_singular_values(E, Z):
+    return np.linalg.svd(IndependenceEvaluator(E).matrix_many(Z), compute_uv=False)
+
+
+class TestClosedFormSingularValues:
+    """q = 1: the closed form from the 2 x 2 minors against a batched SVD."""
+
+    @pytest.mark.parametrize(
+        "E",
+        [ar_embedding(), *(block_sum_embedding(n) for n in (1, 2, 3)),
+         *(random_embedding(60 + m, m, 1) for m in (2, 3, 4, 6))],
+        ids=lambda E: f"{E.label}-m{E.m}",
+    )
+    def test_matches_svd(self, E):
+        Z = sample_sphere(E.m, 20_000, 10)
+        s = IndependenceEvaluator(E).singular_values_many(Z)
+        ref = _svd_singular_values(E, Z)
+        assert s.shape == ref.shape == (len(Z), 2)
+        assert np.all(np.abs(s - ref) <= 1e-12 * ref)
+
+    def test_precise_where_the_singular_values_meet(self):
+        # on the axes of ar both singular values are 1; the discriminant
+        # tr^2 - 4D would lose half the digits near them (8e-11 at 1e-7 away)
+        E = ar_embedding()
+        for eps in (1e-3, 1e-5, 1e-7, 1e-9):
+            z = np.array([1, eps * (1 + 1j)])
+            Z = np.array([z, z[::-1]]) / np.linalg.norm(z)
+            s = IndependenceEvaluator(E).singular_values_many(Z)
+            ref = _svd_singular_values(E, Z)
+            assert np.all(np.abs(s - ref) <= 1e-12 * ref)
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    @pytest.mark.parametrize("kind", CONTROLS)
+    def test_controls(self, kind, m):
+        Z = sample_sphere(m, 2_000, 11)
+        s = IndependenceEvaluator(make_negative_control(kind, m)).singular_values_many(Z)
+        if kind == "radial":
+            assert np.all(s[:, -1] < 1e-12)
+        else:
+            assert np.all(s[:, -1] == 0)
+
+    @pytest.mark.parametrize(
+        "E", [ar_embedding(), block_sum_embedding(3), make_negative_control("radial", 3)],
+        ids=lambda E: E.label,
+    )
+    def test_equivalence_rank_route_stays_an_svd(self, E):
+        # the spot checks cross-check the closed form only while they use an SVD
+        Z = sample_sphere(E.m, 500, 12)
+        sigma_min = [r.sigma_min for r in equivalence_check_many(E, Z)]
+        assert sigma_min == _svd_singular_values(E, Z)[:, -1].tolist()
+
+    def test_q_above_one_uses_the_svd(self):
+        E = random_embedding(6, 4, 2)
+        Z = sample_sphere(E.m, 1000, 13)
+        s = IndependenceEvaluator(E).singular_values_many(Z)
+        assert np.array_equal(s, _svd_singular_values(E, Z))
 
 
 class TestPointReport:
