@@ -3,8 +3,8 @@
 The library view of the toolkit:
 
 * :mod:`crsphere.wirtinger` -- exact sparse polynomials in z and zbar with
-  Gaussian-rational coefficients and formal Wirtinger derivatives, a scalar
-  reference evaluation and one batched evaluator;
+  Gaussian-rational coefficients and formal Wirtinger derivatives, a
+  term-by-term reference evaluation and one batched evaluator;
 * :mod:`crsphere.catalog` -- the Ahern-Rudin quartic, its block-sum
   extension, graph embeddings, negative controls, and the exact determinant
   identity;

@@ -27,7 +27,9 @@ import numpy as np
 from .catalog import GraphEmbedding, make_ar_polynomial, require_on_sphere
 from .verifier import (
     DEFAULT_RANK_TOL,
+    ConfigError,
     IndependenceEvaluator,
+    _check_tol,
     _is_marginal,
     complex_pairs,
     numerical_rank,
@@ -61,14 +63,6 @@ OBJECTIVE_SIGMA_MIN_SQ = "sigma_min_sq"
 OBJECTIVE_DET_SQ = "det_sq"
 
 
-class ConfigError(ValueError):
-    """A run setting out of its range; ``name`` is the parameter, also its CLI flag."""
-
-    def __init__(self, name: str, reason: str):
-        super().__init__(f"{name}: {reason}")
-        self.name = name
-
-
 # the range [low, high] of each integer run setting; a sweep worker is a thread
 _RANGES = {"samples": (1, inf), "seed": (0, inf), "workers": (1, 64), "restarts": (1, inf)}
 
@@ -77,12 +71,6 @@ def _check_range(name: str, value: int | None) -> None:
     low, high = _RANGES[name]
     if value is not None and not low <= value <= high:
         raise ConfigError(name, f"must lie in [{low}, {high}], got {value}")
-
-
-def _check_tol(tol: float) -> None:
-    # sigma_min <= sigma_max, so a tol of 1 or more gives every matrix rank 0
-    if not 0 < tol < 1:  # NaN too
-        raise ConfigError("tol", f"must lie in (0, 1), got {tol}")
 
 
 def sample_sphere(m: int, count: int, seed: int) -> np.ndarray:

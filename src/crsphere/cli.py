@@ -4,7 +4,7 @@ verify regularity by sampling, and hunt degeneracies by minimization.
 Exit codes: 0 success/verified, 1 identity failure, 2 regularity failure or
 marginal verdict from verify or minimize (the witness point is printed),
 3 internal criterion disagreement, 64 usage errors (among them --tol outside
-(0, 1) and --workers outside [1, 64]), 65 unreadable or malformed input files
+(0, 0.1) and --workers outside [1, 64]), 65 unreadable or malformed input files
 and embeddings whose values overflow a float, 70 internal faults (the
 traceback goes to standard error), 73 an output file that cannot be written.
 

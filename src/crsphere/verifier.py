@@ -12,8 +12,9 @@ Three routes to the same verdict at a sphere point z:
 The embedding is CR regular at z exactly when the matrix has full rank q+1,
 when the wedge is nonzero, and when the tangent count equals m-q-1.  The
 first two routes evaluate their polynomials with ``CompiledEvaluator``; the
-third takes its Jacobians from the scalar ``WPolynomial.eval``, shares no
-evaluation code with the first two and serves as an independent oracle.
+third takes its Jacobians from ``WPolynomial.eval``, term by term over the
+whole batch, shares no evaluation code with the first two and serves as an
+independent oracle.
 ``equivalence_check_many`` runs all three on a batch of points and reports
 any disagreement as an internal inconsistency.
 """
@@ -39,12 +40,28 @@ class RankToleranceError(RuntimeError):
     """Raised when a rank decision is numerically inconsistent."""
 
 
+class ConfigError(ValueError):
+    """A run setting out of its range; ``name`` is the parameter, also its CLI flag."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"{name}: {reason}")
+        self.name = name
+
+
+def _check_tol(tol: float) -> None:
+    # sigma_min <= sigma_max, so at tol >= 1/MARGINAL_FACTOR every full-rank
+    # matrix lies in the marginal band and no run can end all-regular
+    if not 0 < tol < 1 / MARGINAL_FACTOR:  # NaN too
+        raise ConfigError("tol", f"must lie in (0, {1 / MARGINAL_FACTOR}), got {tol}")
+
+
 def numerical_rank(singular_values: np.ndarray, tol: float) -> np.ndarray | np.integer:
     """Number of singular values above tol * sigma_max, over the last axis.
 
     Singular values are non-negative and come in descending order, so
     sigma_max is the first and sigma_max == 0 gives rank 0.
     """
+    _check_tol(tol)
     s = np.asarray(singular_values, dtype=float)
     return np.sum(s > tol * s[..., :1], axis=-1)
 
@@ -82,6 +99,7 @@ def wedge_nonzero(forms, tol: float = DEFAULT_RANK_TOL) -> bool:
 
     ``forms`` holds one coefficient row per form: a list of vectors or a 2-D array.
     """
+    _check_tol(tol)
     M = np.asarray(forms, dtype=np.complex128)
     if M.ndim != 2 or not len(M):
         raise ValueError(f"need a non-empty stack of coefficient rows, got shape {M.shape}")
@@ -166,8 +184,7 @@ def point_report(
     E: GraphEmbedding, z: Sequence[complex], tol: float = DEFAULT_RANK_TOL
 ) -> IndependenceReport:
     """Singular-value rank test of the independence matrix at z."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     zv = require_on_sphere(z, E.m)
     s = IndependenceEvaluator(E).singular_values_many(zv[None, :])[0]
     rank = int(numerical_rank(s, tol))
@@ -204,18 +221,18 @@ def _tangent_cr_dims(E: GraphEmbedding, Z: np.ndarray, tol: float) -> np.ndarray
     """dim_C(T ∩ JT) at each point of Z, for T the pushforward of the sphere tangent.
 
     The holomorphic / antiholomorphic Jacobians of the graph functions come
-    from the scalar ``WPolynomial.eval``.  The rest works in real coordinates
-    on the whole stack: T is spanned by the pushforwards of an orthonormal real
-    basis of the sphere tangent, J acts as multiplication by i, and the
-    intersection dimension comes from dim(T) + dim(JT) - rank([T; JT]).
+    from ``WPolynomial.eval``, one call per derivative over the whole stack.
+    The rest also works on the whole stack, in real coordinates: T is spanned
+    by the pushforwards of an orthonormal real basis of the sphere tangent, J
+    acts as multiplication by i, and the intersection dimension comes from
+    dim(T) + dim(JT) - rank([T; JT]).
     """
     n, m = Z.shape
     dz = [fj.d_z(k) for fj in E.f for k in range(m)]
     dzbar = [fj.d_zbar(k) for fj in E.f for k in range(m)]
-    A = np.array([[p.eval(z) for p in dz] for z in Z], dtype=np.complex128)
-    B = np.array([[p.eval(z) for p in dzbar] for z in Z], dtype=np.complex128)
-    A = A.reshape(n, E.q, m).transpose(0, 2, 1)
-    B = B.reshape(n, E.q, m).transpose(0, 2, 1)
+    # A[:, k, j] = d f_j / dz_k, B[:, k, j] = d f_j / dzbar_k
+    A = np.stack([p.eval(Z) for p in dz], axis=-1).reshape(n, E.q, m).transpose(0, 2, 1)
+    B = np.stack([p.eval(Z) for p in dzbar], axis=-1).reshape(n, E.q, m).transpose(0, 2, 1)
     x = np.concatenate([Z.real, Z.imag], axis=1)
     # rows 1.. of V^H from the SVD of the 1 x 2m matrix x: an orthonormal
     # basis of the sphere tangent, shape (n, 2m-1, 2m)
@@ -245,6 +262,7 @@ def cr_dim_at(
     oracle: it never touches the independence matrix or the defining
     functions.
     """
+    _check_tol(tol)
     zv = require_on_sphere(z, E.m)
     return int(_tangent_cr_dims(E, zv[None, :], tol)[0])
 
@@ -304,6 +322,7 @@ def equivalence_check_many(
     E: GraphEmbedding, points: np.ndarray, tol: float = DEFAULT_RANK_TOL
 ) -> list[EquivalenceResult]:
     """All three criteria at a batch of points, each route batched over the points."""
+    _check_tol(tol)
     Z = require_on_sphere(points, E.m)
     if Z.ndim != 2:
         raise ValueError(f"expected shape (n, {E.m}), got {Z.shape}")

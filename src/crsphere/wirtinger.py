@@ -332,23 +332,45 @@ class WPolynomial:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, z: Sequence[complex]) -> complex:
-        """Evaluate at a point of C^m, summing terms in canonical order."""
-        if len(z) != self.m:
-            raise ValueError(f"point has length {len(z)}, expected {self.m}")
-        zv = [complex(w) for w in z]
-        zc = [w.conjugate() for w in zv]
-        total = 0j
-        for (alpha, beta), c in self.sorted_terms():
-            term = complex(c)
-            for k, e in enumerate(alpha):
-                if e:
-                    term *= zv[k] ** e
-            for k, e in enumerate(beta):
-                if e:
-                    term *= zc[k] ** e
-            total += term
-        return total
+    def eval(self, z) -> "complex | np.ndarray":
+        """Value at one point of C^m, shape (m,), or at each point of a stack (..., m).
+
+        The terms are summed in canonical order, each one a numpy product over
+        the whole stack.  One point gives a Python complex, a stack an array of
+        shape ``z.shape[:-1]``.  A coefficient or a value that is not a finite
+        float raises ``NonFiniteError``.
+        """
+        Z = np.asarray(z, dtype=np.complex128)
+        if Z.shape[-1:] != (self.m,):
+            raise ValueError(f"points must have length {self.m} on the last axis, "
+                             f"got shape {Z.shape}")
+        # real arithmetic on the real and imaginary parts: numpy fuses complex
+        # products (FMA) in some of its loops and not in others, so complex
+        # arrays could give a point other bits alone than in a stack.  Each
+        # term is rounded as Python's scalar complex arithmetic rounds
+        # c * z_1**a_1 * ... * zbar_m**b_m.
+        stack = Z.reshape(-1, self.m)
+        x, y = stack.real.T, stack.imag.T
+        factors = ((x, y), (x, -y))  # z and zbar, one row per coordinate
+        total = np.zeros(len(stack), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            for (alpha, beta), c in self.sorted_terms():
+                try:
+                    c = complex(c)
+                except OverflowError:
+                    raise NonFiniteError("a coefficient overflows a float") from None
+                re, im = np.full(len(stack), c.real), np.full(len(stack), c.imag)
+                for (zr, zi), exps in zip(factors, (alpha, beta)):
+                    for k, e in enumerate(exps):
+                        if e:
+                            pr, pi = _power(zr[k], zi[k], e)
+                            re, im = re * pr - im * pi, re * pi + im * pr
+                total.real += re
+                total.imag += im
+        if not np.isfinite(total).all():
+            z = stack[np.argmin(np.isfinite(total))].tolist()
+            raise NonFiniteError(f"polynomial value is not finite at z = {z}")
+        return complex(total[0]) if Z.ndim == 1 else total.reshape(Z.shape[:-1])
 
     # -- reshaping -----------------------------------------------------------
 
@@ -408,6 +430,22 @@ class WPolynomial:
                     f"coefficient {c} is too large: {MAX_DEGREE} times it overflows a float"
                 ) from None
         return p
+
+
+def _power(x: np.ndarray, y: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of (x + iy)**e, e >= 1, by binary powering.
+
+    The squarings and products are those of Python's ``complex ** int``, so
+    the roundings are too.
+    """
+    rx, ry = 1.0, 0.0
+    while True:
+        if e & 1:
+            rx, ry = rx * x - ry * y, rx * y + ry * x
+        e >>= 1
+        if not e:
+            return rx, ry
+        x, y = x * x - y * y, x * y + y * x
 
 
 def _accumulate(out: dict[Key, GaussianRational], key: Key, c: GaussianRational) -> None:
@@ -471,8 +509,8 @@ class CompiledEvaluator:
     matmul.  The tables hold only the exponents that occur, so their size
     follows the term count, not the degree.  A coefficient or a value that is
     not a finite float raises ``NonFiniteError`` rather than reaching a rank
-    decision or a descent.  ``WPolynomial.eval`` is the scalar reference it is
-    tested against.
+    decision or a descent.  ``WPolynomial.eval``, which sums term by term, is
+    the reference it is tested against.
     """
 
     def __init__(self, polys: Sequence[WPolynomial]):

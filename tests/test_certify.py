@@ -136,11 +136,15 @@ class TestSweep:
             (SweepConfig, {"samples": 0}, "samples"),
             (SweepConfig, {"seed": -1}, "seed"),
             (SweepConfig, {"tol": 0.0}, "tol"),
+            (SweepConfig, {"tol": 0.1}, "tol"),
+            (SweepConfig, {"tol": 0.5}, "tol"),
             (SweepConfig, {"tol": 1.0}, "tol"),
             (SweepConfig, {"tol": nan}, "tol"),
             (SweepConfig, {"workers": 0}, "workers"),
             (SweepConfig, {"workers": 65}, "workers"),
             (MinimizeOptions, {"tol": 0.0}, "tol"),
+            (MinimizeOptions, {"tol": 0.1}, "tol"),
+            (MinimizeOptions, {"tol": 0.5}, "tol"),
             (MinimizeOptions, {"tol": 1.0}, "tol"),
             (MinimizeOptions, {"tol": nan}, "tol"),
         ]:

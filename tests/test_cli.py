@@ -408,10 +408,14 @@ def test_overflowing_embedding_is_data_error(tmp_path, capsys, argv):
         ("ar", ("verify", "--tol", "inf")),
         ("ar", ("minimize", "--tol", "inf")),
         ("ar", ("verify", "--workers", "65")),  # refused before any thread starts
+        # from tol 0.1 on every full-rank point would be marginal
+        ("ar", ("verify", "--tol", "0.5")),
+        ("ar", ("minimize", "--tol", "0.1")),
     ],
     ids=["verify-samples-0", "verify-tol-0", "verify-workers-0", "verify-seed-negative",
          "minimize-tol-0", "minimize-seed-negative", "minimize-det-non-square",
-         "verify-tol-1", "verify-tol-inf", "minimize-tol-inf", "verify-workers-65"],
+         "verify-tol-1", "verify-tol-inf", "minimize-tol-inf", "verify-workers-65",
+         "verify-tol-0.5", "minimize-tol-0.1"],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, preset, argv):
     emb = tmp_path / "e.json"
@@ -454,7 +458,7 @@ _OUT_OF_RANGE = {
     "workers": st.integers(max_value=0) | st.integers(65, 10**6),  # refused, never started
     "seed": st.integers(max_value=-1),
     "tol": st.sampled_from([math.nan, math.inf, -math.inf])
-    | st.floats(max_value=0) | st.floats(min_value=1),
+    | st.floats(max_value=0) | st.floats(0.1, 1, exclude_max=True) | st.floats(min_value=1),
 }
 _SETTINGS = {"verify": ("samples", "seed", "tol", "workers"),
              "minimize": ("restarts", "seed", "tol")}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crsphere import (
+    CompiledEvaluator,
     GaussianRational,
     IndependenceEvaluator,
     WPolynomial,
@@ -25,6 +26,7 @@ from crsphere import (
     wedge,
     wedge_nonzero,
 )
+from crsphere import verifier
 from helpers import random_embedding, random_unit, random_wpoly
 
 GR = GaussianRational.of
@@ -150,6 +152,17 @@ class TestPointReport:
         scaled = make_graph_embedding(2, [C.f[0] * GR(2, 1)], label="scaled-control")
         z = random_unit(rng, 2)
         assert point_report(scaled, z).cr_regular == point_report(C, z).cr_regular is False
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, 0.1])
+    def test_tol_out_of_range_is_config_error(self, tol):
+        # a NaN tol once gave rank 0 here, and three failing routes that "agreed"
+        E = ar_embedding()
+        z = [2**-0.5, 2**-0.5]
+        for call in (lambda: point_report(E, z, tol),
+                     lambda: equivalence_check_many(E, [z], tol=tol)):
+            with pytest.raises(verifier.ConfigError, match="tol") as exc:
+                call()
+            assert exc.value.name == "tol"
 
 
 class TestDefiningFunctions:
@@ -278,6 +291,18 @@ class TestTangentOracle:
                 z = random_unit(rng, E.m)
                 if point_report(E, z).cr_regular:
                     assert cr_dim_at(E, z) == E.m - E.q - 1
+
+    def test_shares_no_code_with_the_other_routes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tangent oracle must not use this")
+
+        monkeypatch.setattr(CompiledEvaluator, "__call__", refuse)
+        monkeypatch.setattr(IndependenceEvaluator, "matrix_many", refuse)
+        monkeypatch.setattr(verifier, "defining_functions", refuse)
+        rng = np.random.default_rng(54)
+        assert cr_dim_at(ar_embedding(), [1, 0]) == 0
+        assert cr_dim_at(block_sum_embedding(2), random_unit(rng, 4)) == 2
+        assert cr_dim_at(make_negative_control("holomorphic", 2), random_unit(rng, 2)) == 1
 
 
 class TestEquivalence:

@@ -19,7 +19,13 @@ from crsphere import (
     make_ar_polynomial,
     wirtinger_fd,
 )
-from crsphere.wirtinger import MAX_DECIMAL_EXPONENT, MAX_DEGREE, MAX_TERMS, MAX_VARIABLES
+from crsphere.wirtinger import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_DEGREE,
+    MAX_TERMS,
+    MAX_VARIABLES,
+    NonFiniteError,
+)
 from helpers import random_unit, random_wpoly
 
 GR = GaussianRational.of
@@ -214,6 +220,23 @@ def _defining_differentials(E):
     return [r.d_z(j) for r in rhos for j in range(r.m)]
 
 
+def _python_eval(p, z):
+    """p at one point in Python's scalar complex arithmetic, term by term."""
+    zv = [complex(w) for w in z]
+    zc = [w.conjugate() for w in zv]
+    total = 0j
+    for (alpha, beta), c in p.sorted_terms():
+        term = complex(c)
+        for k, e in enumerate(alpha):
+            if e:
+                term *= zv[k] ** e
+        for k, e in enumerate(beta):
+            if e:
+                term *= zc[k] ** e
+        total += term
+    return total
+
+
 class TestEvaluation:
     def test_ar_axis_values(self):
         P = make_ar_polynomial()
@@ -228,6 +251,53 @@ class TestEvaluation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             make_ar_polynomial().eval([1, 0, 0])
+        with pytest.raises(ValueError, match="length"):
+            make_ar_polynomial().eval(np.zeros((4, 3)))
+
+    def test_stack_equals_points_exactly(self):
+        # 20,000 points: numpy computes in place into temporaries of 256 KiB or
+        # more, and its in-place complex products round differently
+        rng = np.random.default_rng(21)
+        Z = rng.standard_normal((20_000, 3)) + 1j * rng.standard_normal((20_000, 3))
+        some = rng.choice(len(Z), 100, replace=False)
+        for p in _random_polys(3) + [make_ar_polynomial().shifted(3, 1)]:
+            values = p.eval(Z)
+            assert values.shape == (20_000,)
+            assert values[some].tolist() == [p.eval(Z[i]) for i in some]
+
+    def test_rounds_as_python_complex_arithmetic(self):
+        rng = np.random.default_rng(23)
+        for m in (1, 2, 3):
+            Z = rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m))
+            for _ in range(10):
+                p = random_wpoly(rng, m, max_degree=9, n_terms=8, unit_coeffs=False)
+                assert p.eval(Z).tolist() == [_python_eval(p, z) for z in Z]
+
+    def test_one_point_gives_a_complex(self):
+        s = 1 / math.sqrt(2)
+        for p in (make_ar_polynomial(), WPolynomial.zero(2), WPolynomial.constant(2, 3)):
+            assert type(p.eval([s, s])) is complex
+
+    def test_zero_and_constant_keep_the_stack_shape(self):
+        Z = np.ones((5, 2), dtype=complex)
+        assert np.array_equal(WPolynomial.zero(2).eval(Z), np.zeros(5))
+        assert np.array_equal(WPolynomial.constant(2, GR(3, -1)).eval(Z), np.full(5, 3 - 1j))
+
+    def test_stack_shape(self):
+        rng = np.random.default_rng(22)
+        Z = np.vstack([random_unit(rng, 2) for _ in range(6)]).reshape(2, 3, 2)
+        values = make_ar_polynomial().eval(Z)
+        assert values.shape == (2, 3)
+        assert values[1, 2] == make_ar_polynomial().eval(Z[1, 2])
+
+    def test_overflow_raises_non_finite(self):
+        big_power = WPolynomial.monomial(1, (40,), (0,))
+        with pytest.raises(NonFiniteError, match="not finite"):
+            big_power.eval([1e10])
+        with pytest.raises(NonFiniteError, match="not finite"):
+            big_power.eval([[1.0], [1e10]])
+        with pytest.raises(NonFiniteError, match="coefficient"):
+            WPolynomial.constant(1, 10**400).eval([1.0])
 
     def test_evaluation_homomorphism(self):
         rng = np.random.default_rng(16)
