@@ -17,11 +17,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .wirtinger import GR_I, WPolynomial, json_int
+from .wirtinger import GR_I, MAX_VARIABLES, WPolynomial, json_int
 
 SPHERE_TOL = 1e-12
 
 NEGATIVE_CONTROL_KINDS = ("holomorphic", "zero", "radial")
+
+
+class ConfigError(ValueError):
+    """A setting out of its range; ``name`` is the parameter, also its CLI flag."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"{name}: {reason}")
+        self.name = name
 
 
 def sphere_defect(z: Sequence[complex]) -> float | np.ndarray:
@@ -134,7 +142,13 @@ def ar_embedding() -> GraphEmbedding:
 
 
 def block_sum_embedding(n: int) -> GraphEmbedding:
-    """The CR regular S^{4n-1} -> C^{2n+1} embedding graphing the n-block quartic sum."""
+    """The CR regular S^{4n-1} -> C^{2n+1} embedding graphing the n-block quartic sum.
+
+    n lies in [1, MAX_VARIABLES // 2], so that the embedding file loads.
+    """
+    if not 1 <= n <= MAX_VARIABLES // 2:
+        raise ConfigError("n", f"the block count must lie in [1, {MAX_VARIABLES // 2}], "
+                               f"got {n}")
     return make_graph_embedding(2 * n, [make_block_sum(n)], label=f"block-sum-n{n}")
 
 
@@ -144,9 +158,12 @@ def make_negative_control(kind: str, m: int) -> GraphEmbedding:
     ``holomorphic``: f = z_1^2, so df/dzbar vanishes identically.
     ``zero``:        f = 0.
     ``radial``:      f = sum_k z_k zbar_k, so df/dzbar = z, parallel to the base row.
+
+    m lies in [2, MAX_VARIABLES], so that the embedding file loads.
     """
-    if m < 2:
-        raise ValueError(f"controls need m >= 2, got m={m}")
+    if not 2 <= m <= MAX_VARIABLES:
+        raise ConfigError("m", f"controls need m >= 2 and at most {MAX_VARIABLES} "
+                               f"variables, got m={m}")
     if kind == "holomorphic":
         f = WPolynomial.monomial(m, (2,) + (0,) * (m - 1), (0,) * m, 1)
     elif kind == "zero":

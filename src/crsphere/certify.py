@@ -247,6 +247,7 @@ def _value_and_gradient(E: GraphEmbedding, objective: str):
         p.d_zbar(l) for p in g for l in range(m)
     ]
     ev = CompiledEvaluator(g + jacobians)
+    others = [[j for j in range(m) if j != i] for i in range(m)]  # row i: all j != i
 
     def evaluate(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(Z)
@@ -255,9 +256,7 @@ def _value_and_gradient(E: GraphEmbedding, objective: str):
         U, s, Vh = np.linalg.svd(M, full_matrices=False)
         if objective == OBJECTIVE_DET_SQ:
             sq = s * s
-            p = s * np.stack(
-                [np.prod(np.delete(sq, i, axis=1), axis=1) for i in range(m)], axis=1
-            )
+            p = s * np.multiply.reduce(sq[:, others], axis=2)
         else:
             p = np.zeros_like(s)
             p[:, -1] = s[:, -1]

@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import GraphEmbedding, norm_sq, require_on_sphere
-from .wirtinger import CompiledEvaluator, WPolynomial
+from .catalog import ConfigError, GraphEmbedding, norm_sq, require_on_sphere
+from .wirtinger import CompiledEvaluator, NonFiniteError, WPolynomial
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -38,14 +38,6 @@ MARGINAL_FACTOR = 10.0
 
 class RankToleranceError(RuntimeError):
     """Raised when a rank decision is numerically inconsistent."""
-
-
-class ConfigError(ValueError):
-    """A run setting out of its range; ``name`` is the parameter, also its CLI flag."""
-
-    def __init__(self, name: str, reason: str):
-        super().__init__(f"{name}: {reason}")
-        self.name = name
 
 
 def _check_tol(tol: float) -> None:
@@ -94,19 +86,21 @@ def del_form(rho: WPolynomial, w: Sequence[complex]) -> np.ndarray:
     return np.array([rho.d_z(j).eval(wv) for j in range(rho.m)])
 
 
-def wedge_nonzero(forms, tol: float = DEFAULT_RANK_TOL) -> bool:
+def wedge_nonzero(forms, tol: float = DEFAULT_RANK_TOL) -> bool | np.ndarray:
     """Whether the wedge of k (1,0)-forms is nonzero, via the rank of their coefficients.
 
-    ``forms`` holds one coefficient row per form: a list of vectors or a 2-D array.
+    ``forms`` holds one coefficient row per form, shape (k, d), and gives a
+    bool; a stack of such sets, shape (n, k, d), gives one bool per set.
     """
     _check_tol(tol)
     M = np.asarray(forms, dtype=np.complex128)
-    if M.ndim != 2 or not len(M):
+    if M.ndim not in (2, 3) or not M.shape[-2]:
         raise ValueError(f"need a non-empty stack of coefficient rows, got shape {M.shape}")
-    if len(M) > M.shape[1]:
-        raise ValueError(f"{len(M)} forms cannot be independent in dimension {M.shape[1]}")
-    s = np.linalg.svd(M, compute_uv=False)
-    return bool(numerical_rank(s, tol) == len(M))
+    k, d = M.shape[-2:]
+    if k > d:
+        raise ValueError(f"{k} forms cannot be independent in dimension {d}")
+    independent = numerical_rank(np.linalg.svd(M, compute_uv=False), tol) == k
+    return bool(independent) if M.ndim == 2 else independent
 
 
 # -- criterion 1: the independence matrix ---------------------------------------
@@ -132,7 +126,9 @@ class IndependenceEvaluator:
         """Singular values (descending) per point, shape (n, q+1).
 
         For q = 1 they come in closed form from the rows z and g of the 2 x m
-        matrix.  ``sigma_max^2 + sigma_min^2 = |z|^2 + |g|^2``, and
+        matrix, taken as coordinate rows: z from the points, g straight from
+        the evaluator, so no (n, 2, m) stack is built.
+        ``sigma_max^2 + sigma_min^2 = |z|^2 + |g|^2``, and
         ``sigma_max^2 sigma_min^2 = D``, the Gram determinant, which Lagrange's
         identity gives as the sum over i < j of ``|z_i g_j - z_j g_i|^2``.  D is
         summed from these minors, never as ``|z|^2 |g|^2 - |<z, g>|^2``, whose
@@ -140,25 +136,48 @@ class IndependenceEvaluator:
         z.  The discriminant of the quadratic for ``sigma_max^2`` is written as
         the sum of squares ``(|z|^2 - |g|^2)^2 + 4 |<z, g>|^2``, not as
         ``tr^2 - 4D``, so ``sigma_max`` keeps full precision where the two
-        values nearly meet; then ``sigma_min^2 = D / sigma_max^2``.  For q > 1
-        a batched SVD.
+        values nearly meet; then ``sigma_min^2 = D / sigma_max^2``.  The minors
+        and the sums are formed in real arithmetic on the real and imaginary
+        parts, each sum accumulated pair by pair or coordinate by coordinate,
+        so every point rounds the same alone as in any batch.  A sum that
+        overflows a float raises ``NonFiniteError``.  For q > 1 a batched SVD.
         """
-        M = self.matrix_many(points)
+        Z = np.asarray(points, dtype=np.complex128)
         if self.q > 1:
-            return np.linalg.svd(M, compute_uv=False)
-        z, g = M[:, 0], M[:, 1]
-        D = np.zeros(len(M))
-        # a plain loop over the pairs beats gathering them with triu_indices
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                minor = z[:, i] * g[:, j] - z[:, j] * g[:, i]
-                D += minor.real**2 + minor.imag**2
-        zz = np.sum(z.real**2 + z.imag**2, axis=1)
-        gg = np.sum(g.real**2 + g.imag**2, axis=1)
-        zg = np.abs(np.sum(z * np.conj(g), axis=1))
-        smax_sq = (zz + gg + np.hypot(zz - gg, 2 * zg)) / 2
-        smin_sq = np.divide(D, smax_sq, out=np.zeros_like(D), where=smax_sq > 0)
-        return np.sqrt(np.stack([smax_sq, smin_sq], axis=1))
+            return np.linalg.svd(self.matrix_many(Z), compute_uv=False)
+        g = self._dzbar.rows(Z)
+        zr, zi = np.ascontiguousarray(Z.real.T), np.ascontiguousarray(Z.imag.T)
+        gr, gi = g.real.copy(), g.imag.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            D = np.zeros(len(Z))
+            for i in range(self.m - 1):  # the minors (i, j) for all j > i at once
+                j = slice(i + 1, None)
+                re = (zr[i] * gr[j] - zi[i] * gi[j]) - (zr[j] * gr[i] - zi[j] * gi[i])
+                im = (zr[i] * gi[j] + zi[i] * gr[j]) - (zr[j] * gi[i] + zi[j] * gr[i])
+                for minor_sq in re * re + im * im:
+                    D += minor_sq
+            zz = _sum_rows(zr * zr + zi * zi)
+            gg = _sum_rows(gr * gr + gi * gi)
+            zg = np.sqrt(_sum_rows(zr * gr + zi * gi) ** 2 + _sum_rows(zi * gr - zr * gi) ** 2)
+            smax_sq = (zz + gg + np.hypot(zz - gg, 2 * zg)) / 2
+            smin_sq = np.divide(D, smax_sq, out=np.zeros_like(D), where=smax_sq > 0)
+            s = np.stack([smax_sq, smin_sq], axis=1)
+        if not np.isfinite(s).all():
+            z = Z[np.argmin(np.isfinite(s).all(axis=1))].tolist()
+            raise NonFiniteError(f"singular values overflow a float at z = {z}")
+        return np.sqrt(s)
+
+
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """The sum over the first axis, row by row in order.
+
+    ``np.sum`` over that axis would switch to pairwise summation along it
+    when a batch holds one point, and round that point differently.
+    """
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 def independence_matrix(E: GraphEmbedding, z: Sequence[complex]) -> np.ndarray:
@@ -335,8 +354,7 @@ def equivalence_check_many(
     mq = E.m + E.q
     image = np.concatenate([Z, CompiledEvaluator(E.f)(Z)], axis=1)
     forms = CompiledEvaluator([r.d_z(j) for r in rhos for j in range(mq)])(image)
-    forms = forms.reshape(len(Z), len(rhos), mq)
-    wedge_pass = numerical_rank(np.linalg.svd(forms, compute_uv=False), tol) == len(rhos)
+    wedge_pass = wedge_nonzero(forms.reshape(len(Z), len(rhos), mq), tol)
 
     cr_dims = _tangent_cr_dims(E, Z, tol)
     expected = E.m - E.q - 1

@@ -503,14 +503,20 @@ class NonFiniteError(ArithmeticError):
 class CompiledEvaluator:
     """Several polynomials in the same m variables, evaluated together at many points.
 
-    The union of their monomials (K of them) is stored as exponent arrays and
-    their coefficients as a (K, outputs) complex matrix, so a call forms the
-    (n, K) monomial matrix from power tables of Z and conj(Z) and does one
-    matmul.  The tables hold only the exponents that occur, so their size
-    follows the term count, not the degree.  A coefficient or a value that is
-    not a finite float raises ``NonFiniteError`` rather than reaching a rank
-    decision or a descent.  ``WPolynomial.eval``, which sums term by term, is
-    the reference it is tested against.
+    A call works on coordinate rows, one row per quantity and one column per
+    point.  It fills a table with the powers of every coordinate along the
+    chain of the exponents that occur, and with the conjugates of the powers
+    that zbar takes.  Each monomial (K of them) is then the product of at
+    most F table rows, F being the most nonzero exponents in one monomial,
+    in coordinate order with z before zbar.  Each output is the sum of its
+    terms in monomial order, in real arithmetic: the real and the imaginary
+    coefficient parts are summed apart and combined last, the grouping of a
+    complex matrix product.  No BLAS call is made, since its rounding
+    depends on the batch size: a point gets the same bits alone as in any
+    batch.  Products and sums run with overflow warnings off; a coefficient
+    or a value that is not a finite float raises ``NonFiniteError`` rather
+    than reaching a rank decision or a descent.  ``WPolynomial.eval``, which
+    sums term by term, is the reference it is tested against.
     """
 
     def __init__(self, polys: Sequence[WPolynomial]):
@@ -519,44 +525,105 @@ class CompiledEvaluator:
         m = polys[0].m
         if any(p.m != m for p in polys):
             raise ValueError("polynomials must share one variable count")
+        self.m = m
         keys = sorted({key for p in polys for key in p.terms}, key=_term_order)
         index = {key: i for i, key in enumerate(keys)}
-        coeffs = np.zeros((len(keys), len(polys)), dtype=np.complex128)
+        # slot t holds term t of every output, in monomial order, padded with
+        # zero coefficients; weights[t] are their real parts, then the imaginary
+        depth = max(len(p) for p in polys)
+        self._terms = np.zeros((depth, len(polys)), dtype=np.intp)
+        coeffs = np.zeros((depth, len(polys)), dtype=np.complex128)
         for j, p in enumerate(polys):
-            for key, c in p.terms.items():
-                try:
-                    coeffs[index[key], j] = complex(c)
-                except OverflowError:
-                    raise NonFiniteError("a coefficient overflows a float") from None
-        alpha = np.array([a for a, _ in keys], dtype=np.intp).reshape(-1, m)
-        beta = np.array([b for _, b in keys], dtype=np.intp).reshape(-1, m)
-        exps = np.unique(np.concatenate([[0], alpha.ravel(), beta.ravel()]))
-        self.m = m
-        self._steps = np.diff(exps).tolist()  # from one table column to the next
-        self._alpha = np.searchsorted(exps, alpha)  # exponents as table columns
-        self._beta = np.searchsorted(exps, beta)
-        self._coeffs = coeffs
+            try:
+                terms = sorted((index[key], complex(c)) for key, c in p.terms.items())
+            except OverflowError:
+                raise NonFiniteError("a coefficient overflows a float") from None
+            if terms:
+                self._terms[: len(terms), j], coeffs[: len(terms), j] = zip(*terms)
+        self._weights = np.stack([coeffs.real, coeffs.imag], axis=1)[..., None]
+        exps = sorted({0}.union(*(a + b for a, b in keys)))
+        link = {e: k for k, e in enumerate(exps[1:])}
+        # the table: row 0 holds ones, then per link of the exponent chain the
+        # powers of all m coordinates, then the conjugates of the powers that
+        # zbar takes, ascending by (coordinate, exponent)
+        conj = sorted({(j, e) for _, b in keys for j, e in enumerate(b) if e})
+        conj_row = {je: 1 + len(link) * m + r for r, je in enumerate(conj)}
+
+        def row(j: int, side: int, e: int) -> int:
+            return conj_row[j, e] if side else 1 + link[e] * m + j
+
+        factors = [[row(j, side, e) for j in range(m)
+                    for side, e in enumerate((a[j], b[j])) if e] for a, b in keys]
+        width = max([1, *map(len, factors)])
+        self._steps = np.diff(exps).tolist()  # from one chain link to the next
+        self._links = [slice(1 + k * m, 1 + (k + 1) * m) for k in range(len(link))]
+        self._conj = (np.array([row(j, 0, e) for j, e in conj], dtype=np.intp),
+                      slice(1 + len(link) * m, 1 + len(link) * m + len(conj)))
+        self._factors = np.array(  # (F, K): each monomial's rows, padded with row 0
+            [f + [0] * (width - len(f)) for f in factors], dtype=np.intp
+        ).reshape(len(keys), width).T
+
+    def rows(self, points: np.ndarray) -> np.ndarray:
+        """Values at a batch of points as coordinate rows, shape (n, m) -> (outputs, n)."""
+        Z = self._points(points)
+        values = np.empty((self._terms.shape[1], len(Z)), dtype=np.complex128)
+        self._evaluate(Z, values)
+        return values
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Values at a batch of points, shape (n, m) -> (n, outputs)."""
+        Z = self._points(points)
+        values = np.empty((len(Z), self._terms.shape[1]), dtype=np.complex128)
+        self._evaluate(Z, values.T)
+        return values
+
+    def _points(self, points) -> np.ndarray:
         Z = np.asarray(points, dtype=np.complex128)
         if Z.ndim != 2 or Z.shape[1] != self.m:
             raise ValueError(f"expected point array of shape (n, {self.m}), got {Z.shape}")
-        powers = np.empty((Z.shape[0], self.m, len(self._steps) + 1), dtype=np.complex128)
-        powers[:, :, 0] = 1.0
-        for k, step in enumerate(self._steps, 1):
-            powers[:, :, k] = powers[:, :, k - 1] * (Z if step == 1 else Z**step)
-        conj_powers = np.conj(powers)
-        mono = np.ones((Z.shape[0], len(self._coeffs)), dtype=np.complex128)
-        for j in range(self.m):
-            mono *= powers[:, j, self._alpha[:, j]]
-            mono *= conj_powers[:, j, self._beta[:, j]]
+        return Z
+
+    def _evaluate(self, Z: np.ndarray, out: np.ndarray) -> None:
+        """Write the values at Z into ``out``, shape (outputs, n)."""
+        if not len(self._terms):
+            out[...] = 0
+            return
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            values = mono @ self._coeffs
-        if not np.isfinite(values).all():
-            z = Z[np.argmin(np.isfinite(values).all(axis=1))].tolist()
+            flat = self._monomials(Z).view(np.float64)
+            # a, b: the sums of the terms times the real and times the imaginary
+            # coefficient parts, each (outputs, [re, im] per point); out = a + i b
+            acc = flat[self._terms[0]] * self._weights[0]
+            for terms, weights in zip(self._terms[1:], self._weights[1:]):
+                acc += flat[terms] * weights
+            a, b = acc
+            np.subtract(a[:, 0::2], b[:, 1::2], out=out.real)
+            np.add(a[:, 1::2], b[:, 0::2], out=out.imag)
+        if not np.isfinite(out).all():
+            z = Z[np.argmin(np.isfinite(out).all(axis=0))].tolist()
             raise NonFiniteError(f"polynomial value is not finite at z = {z}")
-        return values
+
+    def _monomials(self, Z: np.ndarray) -> np.ndarray:
+        """The K monomials at the points, shape (K, n)."""
+        table = np.empty((self._conj[1].stop, len(Z)), dtype=np.complex128)
+        table[0] = 1.0
+        Zt = Z.T
+        prev = None
+        for step, rows in zip(self._steps, self._links):
+            factor = Zt if step == 1 else Zt**step
+            if prev is None:
+                table[rows] = factor
+            else:
+                np.multiply(table[prev], factor, out=table[rows])
+            prev = rows
+        src, rows = self._conj
+        if len(src):
+            np.conjugate(table[src], out=table[rows])
+        mono = table[self._factors[0]]
+        for f in self._factors[1:]:
+            # in place, except on a single element (one monomial at one point):
+            # numpy rounds that product differently, as a reduction step
+            mono = np.multiply(mono, table[f], out=mono if mono.size > 1 else None)
+        return mono
 
 
 # -- finite-difference oracle ---------------------------------------------------

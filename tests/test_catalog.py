@@ -21,6 +21,9 @@ from crsphere import (
     restrict_to_block,
     verify_ar_identity,
 )
+from crsphere import verifier
+from crsphere.catalog import ConfigError
+from crsphere.wirtinger import MAX_VARIABLES
 from helpers import random_unit, random_wpoly
 
 GR = GaussianRational.of
@@ -56,6 +59,14 @@ class TestBlockSum:
     def test_zero_blocks_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             make_block_sum(0)
+
+    @pytest.mark.parametrize("n", [0, -1, MAX_VARIABLES // 2 + 1])
+    def test_embedding_block_count_out_of_range_is_config_error(self, n):
+        with pytest.raises(ConfigError, match="block count") as exc:
+            block_sum_embedding(n)
+        assert exc.value.name == "n"
+        assert verifier.ConfigError is ConfigError  # re-exported where it was
+        assert block_sum_embedding(MAX_VARIABLES // 2).m == MAX_VARIABLES
 
     def test_block_substitution_numeric(self):
         Q = make_block_sum(2)
@@ -167,6 +178,13 @@ class TestNegativeControls:
     def test_small_m_rejected(self):
         with pytest.raises(ValueError, match="m >= 2"):
             make_negative_control("zero", 1)
+
+    @pytest.mark.parametrize("m", [1, MAX_VARIABLES + 1])
+    def test_m_out_of_range_is_config_error(self, m):
+        with pytest.raises(ConfigError) as exc:
+            make_negative_control("radial", m)
+        assert exc.value.name == "m"
+        assert make_negative_control("radial", MAX_VARIABLES).m == MAX_VARIABLES
 
 
 class TestSerialization:

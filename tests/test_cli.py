@@ -536,3 +536,39 @@ def test_loader_returns_embedding_or_data_error(content):
             assert exc.code == EXIT_DATA
         else:
             assert isinstance(E, GraphEmbedding)
+
+
+# coefficient parts from 1e100 up to the loader's bound, 2.8e306 (64 times
+# it must stay a float): the values of such embeddings may or may not overflow
+_NEAR_BOUND = st.builds(
+    lambda sign, mantissa, exponent: f"{sign}{mantissa}e{exponent}",
+    st.sampled_from(["", "-"]), st.integers(1, 28), st.integers(100, 305),
+)
+
+
+@st.composite
+def _overflowing_embeddings(draw):
+    """A q = 1 embedding file, m in {2, 3}, exponents up to 64, huge coefficients."""
+    m = draw(st.sampled_from([2, 3]))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        raw = draw(st.lists(st.integers(0, 64), min_size=2 * m, max_size=2 * m))
+        exps = [e * 64 // max(64, sum(raw)) for e in raw]  # total degree <= 64
+        terms.append({"alpha": exps[:m], "beta": exps[m:],
+                      "re": draw(_NEAR_BOUND), "im": draw(_NEAR_BOUND)})
+    return {"m": m, "q": 1, "label": "near-bound", "f": [{"m": m, "terms": terms}]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_overflowing_embeddings())
+def test_embeddings_that_overflow_exit_data_or_give_a_verdict(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        emb = Path(tmp) / "e.json"
+        emb.write_text(json.dumps(data))
+        for argv in (("verify", "--samples", "200"), ("minimize", "--restarts", "1")):
+            report = Path(tmp) / f"{argv[0]}.json"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv[0], str(emb), *argv[1:], "--report", str(report))
+            assert code in (0, 2, 65), err.getvalue()
+            assert report.exists() == (code != 65)

@@ -23,10 +23,13 @@ from crsphere import (
     make_negative_control,
     point_report,
     sample_sphere,
+    SweepConfig,
+    sweep,
     wedge,
     wedge_nonzero,
 )
 from crsphere import verifier
+from crsphere.wirtinger import NonFiniteError
 from helpers import random_embedding, random_unit, random_wpoly
 
 GR = GaussianRational.of
@@ -113,6 +116,36 @@ class TestClosedFormSingularValues:
         Z = sample_sphere(E.m, 500, 12)
         sigma_min = [r.sigma_min for r in equivalence_check_many(E, Z)]
         assert sigma_min == _svd_singular_values(E, Z)[:, -1].tolist()
+
+    @pytest.mark.parametrize(
+        "E", [ar_embedding(), block_sum_embedding(3), block_sum_embedding(5),
+              random_embedding(63, 3, 1)],
+        ids=lambda E: f"{E.label}-m{E.m}",
+    )
+    def test_a_point_alone_rounds_as_in_its_batch(self, E):
+        ev = IndependenceEvaluator(E)
+        Z = sample_sphere(E.m, 20_000, 5)
+        batch = ev.singular_values_many(Z)
+        alone = np.concatenate([ev.singular_values_many(z[None, :]) for z in Z[:1000]])
+        assert alone.tobytes() == batch[:1000].tobytes()
+
+    @pytest.mark.parametrize(
+        "E", [ar_embedding(), block_sum_embedding(3), block_sum_embedding(5)],
+        ids=lambda E: E.label,
+    )
+    def test_point_report_reproduces_the_sweep(self, E):
+        report = sweep(E, SweepConfig(samples=30_000, seed=8, workers=2))
+        rep = point_report(E, report.argmin_z)
+        assert (rep.sigma_min, rep.sigma_max) == (
+            report.min_sigma, report.sigma_max_at_argmin
+        )
+
+    def test_overflowing_values_raise_non_finite(self):
+        # g stays a finite float; its squared norm does not
+        f = WPolynomial.monomial(2, (0, 0), (2, 0), 10**200)
+        E = make_graph_embedding(2, [f])
+        with pytest.raises(NonFiniteError, match="overflow"):
+            IndependenceEvaluator(E).singular_values_many(sample_sphere(2, 10, 1))
 
     def test_q_above_one_uses_the_svd(self):
         E = random_embedding(6, 4, 2)
@@ -229,9 +262,20 @@ class TestForms:
         forms = [del_form(r, w) for r in defining_functions(E)]
         assert wedge_nonzero(forms)
 
+    def test_wedge_nonzero_over_a_stack(self):
+        forms = np.array([[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [2, 0, 0]], [[0, 0, 1j], [1, 1, 0]]])
+        result = wedge_nonzero(forms)
+        assert result.dtype == bool
+        assert result.tolist() == [True, False, True]
+        assert result.tolist() == [wedge_nonzero(f) for f in forms]
+
     def test_too_many_forms_rejected(self):
         with pytest.raises(ValueError, match="independent"):
             wedge_nonzero([[1, 0]] * 3)
+        with pytest.raises(ValueError, match="independent"):
+            wedge_nonzero([[[1, 0]] * 3] * 2)
+        with pytest.raises(ValueError, match="non-empty"):
+            wedge_nonzero(np.zeros((2, 0, 3)))
 
     def test_wedge_is_antisymmetric(self):
         rng = np.random.default_rng(46)

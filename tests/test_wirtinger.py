@@ -220,6 +220,33 @@ def _defining_differentials(E):
     return [r.d_z(j) for r in rhos for j in range(r.m)]
 
 
+# polynomial lists for the CompiledEvaluator tests: dense random
+# coefficients, constants and zeros, exponent chains with gaps (so the
+# Z**step branch runs), zbar powers only, a single monomial (length-1
+# products at one point), one variable, and the wedge route's differentials
+EVALUATOR_CASES = [
+    pytest.param(_random_polys(3), id="random"),
+    pytest.param([WPolynomial.zero(2), WPolynomial.constant(2, GR(3, -1))],
+                 id="zero-and-constant"),
+    pytest.param([WPolynomial.zero(3)] * 4, id="all-zero"),
+    pytest.param([WPolynomial.monomial(2, (3, 0), (0, 7), GR(1, 1))
+                  + WPolynomial.monomial(2, (0, 1), (2, 0), 2)],
+                 id="exponent-gaps"),
+    pytest.param([WPolynomial.monomial(3, (0, 0, 5), (0, 2, 0), GR(Fraction(1, 3), 2)),
+                  WPolynomial.monomial(3, (0, 0, 0), (9, 0, 0), GR(-1, Fraction(2, 7)))],
+                 id="first-link-gap"),
+    pytest.param([WPolynomial.monomial(2, (0, 0), (2, 1), GR(1, -2))
+                  + WPolynomial.monomial(2, (0, 0), (0, 3), GR(Fraction(5, 3))),
+                  WPolynomial.conj_variable(2, 1)],
+                 id="zbar-only"),
+    pytest.param([WPolynomial.monomial(2, (3, 2), (1, 1), GR(1, 2))], id="one-monomial"),
+    pytest.param([WPolynomial.monomial(1, (2,), (3,), GR(-1, 1))
+                  + WPolynomial.monomial(1, (0,), (1,), 3)], id="one-variable"),
+    pytest.param(_defining_differentials(ar_embedding()), id="rho-dz-ar"),
+    pytest.param(_defining_differentials(block_sum_embedding(2)), id="rho-dz-n2"),
+]
+
+
 def _python_eval(p, z):
     """p at one point in Python's scalar complex arithmetic, term by term."""
     zv = [complex(w) for w in z]
@@ -309,20 +336,7 @@ class TestEvaluation:
             rhs = a.eval(z) * b.eval(z)
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
-    @pytest.mark.parametrize(
-        "polys",
-        [
-            pytest.param(_random_polys(3), id="random"),
-            pytest.param([WPolynomial.zero(2), WPolynomial.constant(2, GR(3, -1))],
-                         id="zero-and-constant"),
-            pytest.param([WPolynomial.zero(3)] * 4, id="all-zero"),
-            pytest.param([WPolynomial.monomial(2, (3, 0), (0, 7), GR(1, 1))
-                          + WPolynomial.monomial(2, (0, 1), (2, 0), 2)],
-                         id="exponent-gaps"),
-            pytest.param(_defining_differentials(ar_embedding()), id="rho-dz-ar"),
-            pytest.param(_defining_differentials(block_sum_embedding(2)), id="rho-dz-n2"),
-        ],
-    )
+    @pytest.mark.parametrize("polys", EVALUATOR_CASES)
     def test_compiled_evaluator_matches_eval(self, polys):
         rng = np.random.default_rng(18)
         m = polys[0].m
@@ -333,6 +347,19 @@ class TestEvaluation:
             for j, p in enumerate(polys):
                 ref = p.eval(z)
                 assert abs(batch[i, j] - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+    @pytest.mark.parametrize("polys", EVALUATOR_CASES)
+    def test_compiled_evaluator_rows_do_not_depend_on_the_batch(self, polys):
+        rng = np.random.default_rng(24)
+        m = polys[0].m
+        Z = rng.standard_normal((4096, m)) + 1j * rng.standard_normal((4096, m))
+        Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+        ev = CompiledEvaluator(polys)
+        batch = ev(Z)
+        alone = np.concatenate([ev(z[None, :]) for z in Z])
+        assert batch.tobytes() == alone.tobytes()
+        assert ev.rows(Z).tobytes() == np.ascontiguousarray(batch.T).tobytes()
 
 
 class TestFiniteDifferenceOracle:
