@@ -85,7 +85,9 @@ class GraphEmbedding:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "GraphEmbedding":
-        label = str(data["label"])
+        label = data["label"]
+        if type(label) is not str:
+            raise ValueError(f"label must be a string, got {label!r}")
         label.encode("utf-8")  # a lone surrogate cannot be printed: UnicodeEncodeError
         return GraphEmbedding(
             m=json_int(data["m"], "m"),

@@ -5,7 +5,7 @@ rank criterion at many points, and multistart Riemannian gradient descent on
 the sphere of the squared smallest singular value (or of the squared
 determinant modulus in the square case) to hunt for degeneracies.  Both are
 deterministic given their seeds: samples come from one counter-based stream,
-work is split into fixed-size chunks whose results do not depend on the
+the rank layer gives each point the same bits in any chunk, whatever the
 worker count, reductions are performed in sample order, and the descent moves
 all starts of a run as one batch.
 
@@ -41,7 +41,7 @@ VERDICT_ALL_REGULAR = "all-regular (sampled)"
 VERDICT_MARGINAL = "marginal"
 VERDICT_FAILURE = "failure-found"
 
-# fixed chunk size: results must not depend on how chunks are scheduled
+# sweep chunk size: it bounds the temporaries and decides no bits
 _CHUNK = 4096
 
 # size of the coarse scan whose argmin seeds multistart runs
@@ -85,7 +85,9 @@ def sample_sphere(m: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(seed))
     x = rng.standard_normal((count, 2 * m))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x[:, :m] + 1j * x[:, m:]
+    Z = np.empty((count, m), dtype=np.complex128)
+    Z.real, Z.imag = x[:, :m], x[:, m:]
+    return Z
 
 
 @dataclass(frozen=True)
@@ -382,12 +384,8 @@ def multistart_minimize(
     scan_values = _objective_values(opts.objective, s)
     starts = np.concatenate([Z[[int(np.argmin(scan_values))]], Z[:restarts]])
     minima = _descend(evaluate, starts)
-    values = [lm.value for lm in minima]
-    best_idx = int(np.argmin(values))
-    best = minima[best_idx]
-
+    best = minima[int(np.argmin([lm.value for lm in minima]))]
     rep = point_report(E, np.asarray(best.z), opts.tol)
-
     return CertificateReport(
         label=E.label,
         samples=n_scan,

@@ -293,10 +293,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="sampling sweep plus criterion spot checks")
     p.add_argument("embedding", help="embedding JSON file")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--samples", type=int, default=SweepConfig.samples)
+    p.add_argument("--seed", type=int, default=SweepConfig.seed)
+    p.add_argument("--tol", type=float, default=SweepConfig.tol)
+    p.add_argument("--workers", type=int, default=SweepConfig.workers)
     p.add_argument("--report", required=True)
     p.add_argument("--hist", default=None, help="optional sigma_min histogram CSV")
     p.set_defaults(func=cmd_verify)
@@ -305,7 +305,7 @@ def build_parser() -> _Parser:
     p.add_argument("embedding", help="embedding JSON file")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=MinimizeOptions.tol)
     p.add_argument(
         "--objective", choices=("sigma", "det"), default="sigma",
         help="sigma: smallest singular value squared; det: |det|^2 (square case)",

@@ -14,9 +14,10 @@ when the wedge is nonzero, and when the tangent count equals m-q-1.  The
 first two routes evaluate their polynomials with ``CompiledEvaluator``; the
 third takes its Jacobians from ``WPolynomial.eval``, term by term over the
 whole batch, shares no evaluation code with the first two and serves as an
-independent oracle.
-``equivalence_check_many`` runs all three on a batch of points and reports
-any disagreement as an internal inconsistency.
+independent oracle.  ``equivalence_check_many`` runs all three on a batch of
+points, with ``IndependenceEvaluator.singular_values_many`` (the one rank
+layer behind every verdict) as its rank route, and reports any disagreement
+as an internal inconsistency.  A fault shared by all three goes unseen.
 """
 
 from __future__ import annotations
@@ -346,8 +347,7 @@ def equivalence_check_many(
     if Z.ndim != 2:
         raise ValueError(f"expected shape (n, {E.m}), got {Z.shape}")
 
-    # an SVD, not singular_values_many: this route cross-checks the closed form
-    s = np.linalg.svd(IndependenceEvaluator(E).matrix_many(Z), compute_uv=False)
+    s = IndependenceEvaluator(E).singular_values_many(Z)
     rank_pass = numerical_rank(s, tol) == E.q + 1
 
     rhos = defining_functions(E)

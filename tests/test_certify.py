@@ -1,6 +1,7 @@
 """Sampling sweeps, multistart minimization, determinism, and the 1-D oracle."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -82,6 +83,14 @@ class TestSampleSphere:
     def test_count_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
             sample_sphere(2, 0, 1)
+
+    @pytest.mark.parametrize("m, digest", [
+        (3, "613f94b4db8797c3502a94f0c3a422b6bc2cca6368c20520bed399aabb11980a"),
+        (6, "feebe4b065656070730d024dd3c10b43a9e7b705736e0dbfdb6bea4bb6619191"),
+    ])
+    def test_stream_pinned(self, m, digest):
+        # every report depends on these bits, signs of zeros included
+        assert hashlib.sha256(sample_sphere(m, 1000, 7).tobytes()).hexdigest() == digest
 
 
 class TestSweep:

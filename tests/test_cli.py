@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import crsphere
 from crsphere import GraphEmbedding, RankToleranceError, ar_embedding, certify
-from crsphere.cli import EXIT_DATA, CliError, _load_embedding, main
+from crsphere.cli import EXIT_DATA, CliError, _load_embedding, build_parser, main
 
 
 def run(*argv):
@@ -54,6 +54,16 @@ def test_output_bytes_pinned(tmp_path, capsys, argv, digest):
     assert run(*argv, *extra) == 0
     data = out.read_bytes() if extra else capsys.readouterr().out.encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser = build_parser()
+    verify = parser.parse_args(["verify", "e.json", "--report", "r.json"])
+    assert certify.SweepConfig(
+        samples=verify.samples, seed=verify.seed, tol=verify.tol, workers=verify.workers
+    ) == certify.SweepConfig()
+    minimize = parser.parse_args(["minimize", "e.json", "--report", "r.json"])
+    assert minimize.tol == certify.MinimizeOptions().tol
 
 
 class TestConstruct:
@@ -201,12 +211,17 @@ class TestVerify:
     def test_corrupt_embedding(self, tmp_path):
         bad = tmp_path / "bad.json"
         surrogate = json.dumps(ar_embedding().to_json_dict()).replace("ahern-rudin", "\\ud800")
+        not_strings = [  # labels that are not strings
+            json.dumps({**ar_embedding().to_json_dict(), "label": label}).encode()
+            for label in (None, 7, ["ar"], {"name": "ar"}, True)
+        ]
         for content in (
             b"{broken",
             b"\xff\xfe",  # not UTF-8
             b"[" * 200_000,  # nested too deeply for the JSON parser
             b'{"m": 1000000, "q": 1, "label": "x", "f": [{"m": 1000000, "terms": []}]}',
             surrogate.encode(),  # a label that cannot be printed
+            *not_strings,
         ):
             bad.write_bytes(content)
             assert run("verify", str(bad), "--report", str(tmp_path / "r.json")) == 65

@@ -1,5 +1,7 @@
 """Pointwise criteria: independence matrix, defining functions, tangent oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from crsphere import (
     wedge,
     wedge_nonzero,
 )
-from crsphere import verifier
+from crsphere import cli, verifier
 from crsphere.wirtinger import NonFiniteError
 from helpers import random_embedding, random_unit, random_wpoly
 
@@ -64,6 +66,10 @@ class TestIndependenceMatrix:
 def test_wrong_length_point_rejected(check, point):
     with pytest.raises(ValueError, match="length"):
         check(ar_embedding(), point)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not be used here")
 
 
 def _svd_singular_values(E, Z):
@@ -106,16 +112,6 @@ class TestClosedFormSingularValues:
             assert np.all(s[:, -1] < 1e-12)
         else:
             assert np.all(s[:, -1] == 0)
-
-    @pytest.mark.parametrize(
-        "E", [ar_embedding(), block_sum_embedding(3), make_negative_control("radial", 3)],
-        ids=lambda E: E.label,
-    )
-    def test_equivalence_rank_route_stays_an_svd(self, E):
-        # the spot checks cross-check the closed form only while they use an SVD
-        Z = sample_sphere(E.m, 500, 12)
-        sigma_min = [r.sigma_min for r in equivalence_check_many(E, Z)]
-        assert sigma_min == _svd_singular_values(E, Z)[:, -1].tolist()
 
     @pytest.mark.parametrize(
         "E", [ar_embedding(), block_sum_embedding(3), block_sum_embedding(5),
@@ -337,12 +333,11 @@ class TestTangentOracle:
                     assert cr_dim_at(E, z) == E.m - E.q - 1
 
     def test_shares_no_code_with_the_other_routes(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the tangent oracle must not use this")
-
-        monkeypatch.setattr(CompiledEvaluator, "__call__", refuse)
-        monkeypatch.setattr(IndependenceEvaluator, "matrix_many", refuse)
-        monkeypatch.setattr(verifier, "defining_functions", refuse)
+        monkeypatch.setattr(CompiledEvaluator, "__call__", _refuse)
+        monkeypatch.setattr(CompiledEvaluator, "_evaluate", _refuse)  # behind rows too
+        monkeypatch.setattr(IndependenceEvaluator, "matrix_many", _refuse)
+        monkeypatch.setattr(IndependenceEvaluator, "singular_values_many", _refuse)
+        monkeypatch.setattr(verifier, "defining_functions", _refuse)
         rng = np.random.default_rng(54)
         assert cr_dim_at(ar_embedding(), [1, 0]) == 0
         assert cr_dim_at(block_sum_embedding(2), random_unit(rng, 4)) == 2
@@ -366,6 +361,40 @@ class TestEquivalence:
         assert r.agree and not r.all_pass
 
     @pytest.mark.parametrize(
+        "E", [ar_embedding(), block_sum_embedding(3), make_negative_control("radial", 3)],
+        ids=lambda E: E.label,
+    )
+    def test_rank_route_is_the_sweeps_rank_layer(self, E, monkeypatch):
+        # the spot checks of verify take the sweep's first 1% of samples; their
+        # rank route must reproduce the sweep's own singular values, bit for bit
+        report = sweep(E, SweepConfig(samples=20_000, seed=12, workers=2))
+        monkeypatch.setattr(IndependenceEvaluator, "matrix_many", _refuse)  # no SVD stack
+        results = equivalence_check_many(E, sample_sphere(E.m, 200, 12))
+        sigma_min = np.array([r.sigma_min for r in results])
+        assert sigma_min.tobytes() == report.sigma_min_samples[:200].tobytes()
+
+    def test_a_faulty_rank_layer_is_caught(self, tmp_path, monkeypatch, capsys):
+        # a rank layer that never reports a rank drop calls the singular radial
+        # control regular; the wedge and the tangent count must disagree with it
+        honest = IndependenceEvaluator.singular_values_many
+
+        def never_drops(self, points):
+            s = honest(self, points)
+            s[:, -1] = s[:, 0]
+            return s
+
+        monkeypatch.setattr(IndependenceEvaluator, "singular_values_many", never_drops)
+        emb, report = tmp_path / "radial.json", tmp_path / "r.json"
+        emb.write_text(make_negative_control("radial", 3).dumps())
+        assert cli.main(["verify", str(emb), "--samples", "20000",
+                         "--report", str(report)]) == 3
+        assert "200 equivalence spot checks, 200 disagreements" in capsys.readouterr().out
+        disagreements = json.loads(report.read_text())["extras"]["equivalence"]["disagreements"]
+        assert len(disagreements) == 200
+        assert all(d["rank_pass"] and not d["wedge_pass"] and not d["tangent_pass"]
+                   for d in disagreements)
+
+    @pytest.mark.parametrize(
         "E",
         [ar_embedding(), block_sum_embedding(2), make_negative_control("radial", 2),
          random_embedding(6, 4, 2)],
@@ -380,7 +409,7 @@ class TestEquivalence:
             forms = [del_form(rho, eval_embedding(E, z)) for rho in defining_functions(E)]
             assert r.z == tuple(z)
             assert r.rank_pass == rep.cr_regular
-            assert r.sigma_min == pytest.approx(rep.sigma_min, rel=1e-12, abs=1e-15)
+            assert r.sigma_min == rep.sigma_min
             assert r.wedge_pass == wedge_nonzero(forms)
             assert r.cr_dim == cr_dim_at(E, z)
             assert r.expected_cr_dim == E.m - E.q - 1
@@ -413,20 +442,15 @@ class TestBlockProperties:
     def test_largest_block_gives_rank_two_submatrix(self):
         # at every point some pair is nonzero, and the 2x2 slice of
         # [z; dQ/dzbar] through the largest pair is already nonsingular
-        rng = np.random.default_rng(55)
         for n in (1, 2, 3):
             E = block_sum_embedding(n)
-            dzbar = [E.f[0].d_zbar(k) for k in range(2 * n)]
             Z = sample_sphere(2 * n, 10_000 // n, 56 + n)
-            for z in Z[: 10_000 // n]:
-                norms = [abs(z[2 * k]) ** 2 + abs(z[2 * k + 1]) ** 2 for k in range(n)]
-                k = int(np.argmax(norms))
-                assert norms[k] > 0
-                sub = np.array(
-                    [
-                        [z[2 * k], z[2 * k + 1]],
-                        [dzbar[2 * k].eval(z), dzbar[2 * k + 1].eval(z)],
-                    ]
-                )
-                s = np.linalg.svd(sub, compute_uv=False)
-                assert s[-1] > 1e-8 * s[0]
+            g = np.stack([E.f[0].d_zbar(k).eval(Z) for k in range(2 * n)], axis=1)
+            norms = np.abs(Z[:, 0::2]) ** 2 + np.abs(Z[:, 1::2]) ** 2
+            k = np.argmax(norms, axis=1)
+            assert np.all(norms[np.arange(len(Z)), k] > 0)
+            pair = np.stack([2 * k, 2 * k + 1], axis=1)
+            sub = np.stack([np.take_along_axis(Z, pair, axis=1),
+                            np.take_along_axis(g, pair, axis=1)], axis=1)
+            s = np.linalg.svd(sub, compute_uv=False)
+            assert np.all(s[:, -1] > 1e-8 * s[:, 0])
