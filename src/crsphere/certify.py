@@ -291,15 +291,21 @@ def _descend(evaluate, starts: np.ndarray) -> list[LocalMinimum]:
 
     The starts move in lock-step as one (n, m) array, so each iteration makes
     one evaluator call.  A step moves against the Riemannian gradient and
-    retracts to the sphere by normalising; Armijo backtracking with a step size
-    per start doubles it after an accepted step and halves it after a
-    rejected one.  Once a start's gradient norm is below _GRAD_TOL, one probe
-    round (see ``_probes``) tells a minimum from a saddle or maximum: a probe
-    that lowers the value by _PROBE_DROP * _PROBE_STEP^2 restarts the descent
-    there, otherwise the start has converged.  A start stops unconverged when
-    a step could no longer move it, or at _MAX_ITER iterations.  Values never
-    increase, and ``nfev`` counts the points evaluated for a start, probes
-    included.
+    retracts to the sphere by normalising; each start keeps its own step size
+    under an Armijo test.  After an accepted step the next trial step is the
+    Barzilai-Borwein ratio ``<s, y> / <y, y>`` (Barzilai & Borwein 1988; the
+    Riemannian form of Iannazzo & Porcelli 2018), with ``s`` the move and ``y``
+    the change of the projected gradient, both in ambient C^m and paired by
+    ``Re`` of the Hermitian product (normalising is a retraction and
+    projection a vector transport); where ``<s, y> <= 0`` or the ratio is not
+    finite the step doubles instead.  A rejected step halves it.  Once a
+    start's gradient norm is below _GRAD_TOL, one probe round (see
+    ``_probes``) tells a minimum from a saddle or maximum: a probe that lowers
+    the value by _PROBE_DROP * _PROBE_STEP^2 restarts the descent there with a
+    step of 1, otherwise the start has converged.  A start stops unconverged
+    when a step could no longer move it, or at _MAX_ITER iterations.  Values
+    never increase, and ``nfev`` counts the points evaluated for a start,
+    probes included.
     """
     n, m = starts.shape
     Z = starts.copy()
@@ -330,11 +336,17 @@ def _descend(evaluate, starts: np.ndarray) -> list[LocalMinimum]:
         step[p[escape]] = 1.0
 
         ok = v[: len(d)] <= value[d] - _ARMIJO * step[d] * gnorm[d] ** 2
-        step[d] *= np.where(ok, 2.0, 0.5)
+        acc, rows_ok = d[ok], np.flatnonzero(ok)
+        s, y = C[rows_ok] - Z[acc], g[rows_ok] - grad[acc]
+        sy = np.real(np.sum(s * np.conj(y), axis=1))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bb = sy / np.real(np.sum(y * np.conj(y), axis=1))
+        step[acc] = np.where((sy > 0) & np.isfinite(bb), bb, 2.0 * step[acc])
+        step[d[~ok]] *= 0.5
         active[d[~ok & (step[d] * gnorm[d] < _MIN_MOVE)]] = False
 
-        moved = np.concatenate([d[ok], p[escape]])
-        rows = np.concatenate([np.flatnonzero(ok), best[escape]])
+        moved = np.concatenate([acc, p[escape]])
+        rows = np.concatenate([rows_ok, best[escape]])
         Z[moved], value[moved], grad[moved] = C[rows], v[rows], g[rows]
         gnorm[moved] = np.linalg.norm(g[rows], axis=1)
     return [

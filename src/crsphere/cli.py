@@ -63,6 +63,7 @@ EXIT_CRITERION_DISAGREEMENT = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
+EXIT_OSERR = 71
 EXIT_CANTCREAT = 73
 
 
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}: the embedding cannot be evaluated in floating point",
               file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_OSERR
     except Exception:
         traceback.print_exc()
         return EXIT_SOFTWARE

@@ -12,6 +12,7 @@ from crsphere import certify
 from crsphere import (
     CertificateReport,
     GaussianRational,
+    GraphEmbedding,
     IndependenceEvaluator,
     MinimizeOptions,
     OBJECTIVE_DET_SQ,
@@ -36,7 +37,7 @@ from crsphere import (
     sweep,
     verify_ar_identity,
 )
-from helpers import random_embedding
+from helpers import random_embedding, random_wpoly
 
 # best value Nelder-Mead reached for block-sum-n3 with 64 restarts and seed 42
 BLOCK_N3_SIGMA_MIN_SQ = 0.010975459345
@@ -248,6 +249,26 @@ class TestDescentGradient:
                 assert abs(fd - np.vdot(grad, d).real) <= 1e-6 * np.linalg.norm(grad)
 
 
+class TestDescentCost:
+    @pytest.mark.parametrize(
+        "E, objective, oracle, max_nfev",
+        [
+            (ar_embedding(), "sigma_min_sq", AR_SIGMA_MIN_SQ_GLOBAL, 40),
+            (ar_embedding(), OBJECTIVE_DET_SQ, 1 / 9, 40),
+            (block_sum_embedding(3), "sigma_min_sq", BLOCK_N3_SIGMA_MIN_SQ, 100),
+        ],
+        ids=["ar-sigma", "ar-det", "block-sum-n3"],
+    )
+    def test_evaluations_per_start_bounded(self, E, objective, oracle, max_nfev):
+        # Barzilai-Borwein trial steps take at most 25, 24 and 73 evaluations
+        # here; a step that only doubles and halves takes 70, 127 and 213
+        evaluate = certify._value_and_gradient(E, objective)
+        minima = certify._descend(evaluate, sample_sphere(E.m, 64, 42))
+        assert all(lm.converged for lm in minima)
+        assert max(lm.nfev for lm in minima) <= max_nfev
+        assert abs(min(lm.value for lm in minima) - oracle) < 1e-12
+
+
 class TestMultistart:
     def test_reaches_global_sigma_min(self):
         rep = multistart_minimize(ar_embedding(), 16, 42)
@@ -293,11 +314,21 @@ class TestMultistart:
         assert a.dumps() == b.dumps()
 
     def test_capped_restarts_counted_not_listed(self, monkeypatch):
-        monkeypatch.setattr(certify, "_MAX_ITER", 5)
+        monkeypatch.setattr(certify, "_MAX_ITER", 2)
         rep = multistart_minimize(ar_embedding(), 2, 42)
         # the coarse-scan start plus two restarts, none within the cap
         assert rep.extras["unconverged_restarts"] == 3
         assert rep.converged_minima == ()
+
+    def test_odd_m_graphs_are_never_all_regular(self):
+        # the theorem: every q = 1 graph at odd m has CR singular points; at
+        # seed 42 one of these runs ends marginal, so failure-found is not asserted
+        rng = np.random.default_rng(11)
+        for i in range(10):
+            E = GraphEmbedding(3, 1, (random_wpoly(rng, 3),), f"random-m3-{i}")
+            rep = multistart_minimize(E, 16, 1)
+            assert rep.extras["unconverged_restarts"] == 0
+            assert rep.verdict != VERDICT_ALL_REGULAR
 
     def test_restart_validation(self):
         with pytest.raises(ValueError, match="restarts"):

@@ -199,6 +199,17 @@ class TestVerify:
         assert "RankToleranceError: injected fault" in capsys.readouterr().err
         assert not (tmp_path / "r.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("command, flag", [("verify", "--samples"), ("minimize", "--restarts")])
+    def test_out_of_memory_exits_71(self, tmp_path, capsys, command, flag):
+        # numpy refuses a draw of this size before allocating any of it
+        emb = self._write_ar(tmp_path)
+        report = tmp_path / "r.json"
+        assert run(command, str(emb), flag, str(10**15), "--report", str(report)) == 71
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not report.exists() and not (tmp_path / "r.json.manifest.json").exists()
+
     def test_control_fails_with_witness(self, tmp_path, capsys):
         emb = tmp_path / "holo.json"
         run("construct", "--preset", "holomorphic", "--m", "2", "--out", str(emb))
@@ -331,7 +342,7 @@ class TestMinimize:
         assert manifest["inputs"] == {str(emb): sha256_of(emb)}
 
     def test_iteration_cap_warning(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(certify, "_MAX_ITER", 5)
+        monkeypatch.setattr(certify, "_MAX_ITER", 2)
         emb = tmp_path / "ar.json"
         run("construct", "--preset", "ar", "--out", str(emb))
         assert run("minimize", str(emb), "--restarts", "2",
