@@ -5,9 +5,12 @@ rank criterion at many points, and multistart Riemannian gradient descent on
 the sphere of the squared smallest singular value (or of the squared
 determinant modulus in the square case) to hunt for degeneracies.  Both are
 deterministic given their seeds: samples come from one counter-based stream,
-the rank layer gives each point the same bits in any chunk, whatever the
-worker count, reductions are performed in sample order, and the descent moves
-all starts of a run as one batch.
+drawn chunk by chunk in stream order, the rank layer gives each point the same
+bits in any chunk, whatever the worker count, reductions are performed in
+sample order, and the descent moves all starts of a run as one batch.  A sweep
+streams: its pool's tasks draw, normalise and rank one chunk at a time, and
+the equivalence spot checks run as one more task beside them, so no full
+array of sample points is built.
 
 A sampling sweep is evidence, not proof; the verdict vocabulary says
 "all-regular (sampled)" deliberately.
@@ -15,8 +18,10 @@ A sampling sweep is evidence, not proof; the verdict vocabulary says
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from math import inf
@@ -32,6 +37,7 @@ from .verifier import (
     _check_tol,
     _is_marginal,
     complex_pairs,
+    equivalence_check_many,
     numerical_rank,
     point_report,
 )
@@ -41,7 +47,7 @@ VERDICT_ALL_REGULAR = "all-regular (sampled)"
 VERDICT_MARGINAL = "marginal"
 VERDICT_FAILURE = "failure-found"
 
-# sweep chunk size: it bounds the temporaries and decides no bits
+# sampling chunk size: it bounds the temporaries and decides no bits
 _CHUNK = 4096
 
 # size of the coarse scan whose argmin seeds multistart runs
@@ -83,11 +89,23 @@ def sample_sphere(m: int, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     rng = np.random.Generator(np.random.Philox(seed))
-    x = rng.standard_normal((count, 2 * m))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
     Z = np.empty((count, m), dtype=np.complex128)
-    Z.real, Z.imag = x[:, :m], x[:, m:]
+    for i in range(0, count, _CHUNK):
+        rows = Z[i : i + _CHUNK]
+        _to_sphere(rng.standard_normal((len(rows), 2 * m)), rows)
     return Z
+
+
+def _to_sphere(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Normalise standard normals x (n, 2m) in place into the points out (n, m).
+
+    Successive draws continue one stream and each row is normalised alone, so
+    drawing in chunks gives the bits of one whole draw.
+    """
+    m = out.shape[1]
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    out.real, out.imag = x[:, :m], x[:, m:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -128,6 +146,8 @@ class CertificateReport:
     sigma_max_samples: np.ndarray | None = field(
         default=None, compare=False, repr=False
     )
+    # a sweep's equivalence spot checks; verify reports them in its extras
+    spot_checks: list | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         """Every compared field, with points as lists of ``[re, im]`` pairs."""
@@ -152,19 +172,68 @@ def _verdict(any_failure: bool, any_marginal: bool) -> str:
 
 # -- sampling sweep ---------------------------------------------------------------
 
+def _default_workers() -> int:
+    """The CPUs this process may run on, where the platform tells them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
     """Evaluate the rank criterion at every sample; record the global margin.
 
-    The samples are ``sample_sphere(E.m, cfg.samples, cfg.seed)``, taken in
-    fixed-size chunks by ``cfg.workers`` threads (one per CPU if None).  The
-    result is deterministic for a fixed config, independent of the worker count.
+    The samples are ``sample_sphere(E.m, cfg.samples, cfg.seed)``, streamed
+    through a pool of ``cfg.workers`` threads (one per available CPU if
+    None).  Each rank task takes the next _CHUNK rows of the one Philox stream
+    under a lock, so chunks are drawn in stream order, then normalises and
+    ranks them and writes their singular values into one (samples, q+1)
+    array; only the lowest point of each chunk is kept.  The equivalence spot
+    checks of the first ``max(1, samples // 100)`` samples are one more task
+    of the pool, submitted first so they overlap the chunks; with one worker
+    everything runs in order on one thread.  The result is deterministic for
+    a fixed config, independent of the worker count: the first-occurrence
+    argmin of sigma_min is also the first occurrence of its chunk's minimum.
+    A chunk that fails stops the drawing, and the failure of the earliest
+    failed chunk is raised, before any failure of the spot checks.
     """
-    Z = sample_sphere(E.m, cfg.samples, cfg.seed)
+    n, m = cfg.samples, E.m
+    n_chunks = -(-n // _CHUNK)
+    s = np.empty((n, E.q + 1))
+    chunk_argmin = np.empty((n_chunks, m), dtype=np.complex128)
     ev = IndependenceEvaluator(E)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    lock = threading.Lock()
+    order = itertools.count()
+    failures = {}  # chunk index -> exception; no chunk is drawn once one is set
 
-    chunks = [Z[i : i + _CHUNK] for i in range(0, len(Z), _CHUNK)]
-    with ThreadPoolExecutor(max_workers=cfg.workers or os.cpu_count() or 1) as pool:
-        s = np.concatenate(list(pool.map(ev.singular_values_many, chunks)))
+    def rank_chunks() -> None:
+        while True:
+            with lock:
+                i = next(order)
+                if i >= n_chunks or failures:
+                    return
+                x = rng.standard_normal((min(_CHUNK, n - i * _CHUNK), 2 * m))
+            try:
+                Z = _to_sphere(x, np.empty((len(x), m), dtype=np.complex128))
+                si = ev.singular_values_many(Z)
+            except Exception as exc:  # re-raised below, the earliest chunk's first
+                with lock:
+                    failures[i] = exc
+                return
+            s[i * _CHUNK : i * _CHUNK + len(si)] = si
+            chunk_argmin[i] = Z[np.argmin(si[:, -1])]
+
+    spot = max(1, n // 100)  # samples that get all three criteria
+    workers = cfg.workers or _default_workers()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        checks = pool.submit(
+            lambda: equivalence_check_many(E, sample_sphere(m, spot, cfg.seed), cfg.tol)
+        )
+        tasks = [pool.submit(rank_chunks) for _ in range(min(workers, n_chunks))]
+    for task in tasks:
+        task.result()
+    if failures:
+        raise failures[min(failures)]
     smin, smax = s[:, -1], s[:, 0]
 
     gidx = int(np.argmin(smin))  # first occurrence: deterministic reduction
@@ -181,13 +250,14 @@ def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
         restarts=0,
         min_sigma=float(smin[gidx]),
         sigma_max_at_argmin=float(smax[gidx]),
-        argmin_z=tuple(complex(x) for x in Z[gidx]),
+        argmin_z=tuple(complex(x) for x in chunk_argmin[gidx // _CHUNK]),
         converged_minima=(),
         verdict=verdict,
         objective=None,
         best_value=None,
         sigma_min_samples=smin,
         sigma_max_samples=smax,
+        spot_checks=checks.result(),
     )
 
 

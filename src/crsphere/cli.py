@@ -49,11 +49,9 @@ from .certify import (
     histogram_csv,
     is_ar_embedding,
     multistart_minimize,
-    sample_sphere,
     sigma_histogram,
     sweep,
 )
-from .verifier import equivalence_check_many
 from .wirtinger import NonFiniteError, WPolynomial
 
 EXIT_OK = 0
@@ -192,14 +190,10 @@ def cmd_verify(args) -> int:
         samples=args.samples, seed=args.seed, tol=args.tol, workers=args.workers
     )
     E = _load_embedding(args.embedding)
-    report = sweep(E, cfg)
+    report = sweep(E, cfg)  # with the spot checks on its first samples
 
-    # spot checks on the sweep's first samples (the stream is prefix-stable)
-    spot = max(1, cfg.samples // 100)
-    eq_results = equivalence_check_many(
-        E, sample_sphere(E.m, spot, cfg.seed), cfg.tol
-    )
-    disagreements = [r for r in eq_results if not r.agree]
+    spot = len(report.spot_checks)
+    disagreements = [r for r in report.spot_checks if not r.agree]
     report.extras["equivalence"] = {
         "spot_checks": spot,
         "disagreements": [r.to_json_dict() for r in disagreements],

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +94,15 @@ class TestSampleSphere:
         # every report depends on these bits, signs of zeros included
         assert hashlib.sha256(sample_sphere(m, 1000, 7).tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("m, digest", [
+        (3, "3f919cddd13e88780fe4291290eb1f367a0886c5f229999381c5526b46b9624b"),
+        (6, "9f38cbb3a38604b71cc7412952d875af3e0e6b65ddcb16b7376120d1a81bbacc"),
+    ])
+    def test_stream_pinned_across_chunk_joins(self, m, digest):
+        # drawn chunk by chunk, the points keep the bits of one whole draw
+        Z = sample_sphere(m, 2 * certify._CHUNK + 5, 7)
+        assert hashlib.sha256(Z.tobytes()).hexdigest() == digest
+
 
 class TestSweep:
     def test_ar_all_regular(self):
@@ -131,6 +141,75 @@ class TestSweep:
         assert r1.dumps() == r2.dumps()
         assert np.array_equal(r1.sigma_min_samples, r2.sigma_min_samples)
         assert np.array_equal(r1.sigma_max_samples, r2.sigma_max_samples)
+
+    @pytest.mark.parametrize(
+        "E", [ar_embedding(), random_embedding(31, 3, 1)], ids=lambda E: E.label
+    )
+    def test_argmin_past_the_first_chunk_is_the_streams_point(self, E):
+        samples, seed = 3 * certify._CHUNK + 17, 3
+        reports = [
+            sweep(E, SweepConfig(samples=samples, seed=seed, workers=workers))
+            for workers in (1, 2, 3)
+        ]
+        idx = int(np.argmin(reports[0].sigma_min_samples))
+        assert idx >= certify._CHUNK
+        Z = sample_sphere(E.m, samples, seed)
+        for rep in reports:
+            assert np.array_equal(np.asarray(rep.argmin_z), Z[idx])
+            assert rep.dumps() == reports[0].dumps()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_ties_at_zero_give_the_streams_first_point(self, m):
+        # sigma_min is 0 at every sample of the radial control
+        E, samples = make_negative_control("radial", m), 3 * certify._CHUNK + 17
+        first = sample_sphere(m, 1, 11)[0]
+        for workers in (1, 2, 3):
+            rep = sweep(E, SweepConfig(samples=samples, seed=11, workers=workers))
+            assert not rep.sigma_min_samples.any()
+            assert np.array_equal(np.asarray(rep.argmin_z), first)
+
+    @pytest.mark.parametrize("samples", [50, 250, 9001])
+    def test_spot_checks_cover_the_first_hundredth(self, samples):
+        E = block_sum_embedding(2)
+        rep = sweep(E, SweepConfig(samples=samples, seed=6, workers=2))
+        spot = max(1, samples // 100)
+        assert len(rep.spot_checks) == spot
+        Z = np.array([r.z for r in rep.spot_checks])
+        assert np.array_equal(Z, sample_sphere(E.m, samples, 6)[:spot])
+        sigma_min = np.array([r.sigma_min for r in rep.spot_checks])
+        assert sigma_min.tobytes() == rep.sigma_min_samples[:spot].tobytes()
+
+    def test_many_threads_write_every_row(self):
+        # more workers than CPUs, switching threads as often as the interpreter
+        # allows: a lost or misplaced chunk would change the singular values
+        E, samples = ar_embedding(), 40 * certify._CHUNK + 3
+        s = IndependenceEvaluator(E).singular_values_many(sample_sphere(2, samples, 8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep = sweep(E, SweepConfig(samples=samples, seed=8, workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert rep.sigma_min_samples.tobytes() == s[:, -1].tobytes()
+        assert rep.sigma_max_samples.tobytes() == s[:, 0].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_earliest_failed_chunk_is_raised(self, monkeypatch, workers):
+        # every batch fails, the spot checks' too; the sweep reports chunk 0,
+        # and a failed chunk stops the drawing of further ones
+        batches = []
+
+        def failing(self, points):
+            batches.append(len(points))
+            raise RuntimeError(f"{len(points)} {points[0]}")
+
+        monkeypatch.setattr(IndependenceEvaluator, "singular_values_many", failing)
+        samples = 3 * certify._CHUNK + 17
+        with pytest.raises(RuntimeError) as exc:
+            sweep(ar_embedding(), SweepConfig(samples=samples, seed=2, workers=workers))
+        assert str(exc.value) == f"{certify._CHUNK} {sample_sphere(2, 1, 2)[0]}"
+        assert sorted(batches) == [samples // 100] + [certify._CHUNK] * len(batches[1:])
+        assert len(batches) <= 1 + workers
 
     def test_threshold_near_margin_is_marginal(self):
         E = ar_embedding()
@@ -171,6 +250,30 @@ class TestWorkerCount:
             with pytest.raises(certify.ConfigError, match="workers") as exc:
                 SweepConfig(workers=workers)
             assert exc.value.name == "workers"
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class Recording(certify.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(certify, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    def test_default_is_the_cpus_the_process_may_use(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(certify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
+        sweep(ar_embedding(), SweepConfig(samples=100))
+        assert pool_sizes == [1]
+
+    def test_default_without_an_affinity_mask(self, monkeypatch, pool_sizes):
+        monkeypatch.delattr(certify.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(certify.os, "cpu_count", lambda: 3)
+        sweep(ar_embedding(), SweepConfig(samples=100))
+        assert pool_sizes == [3]
 
 
 class TestLocalMinimize:

@@ -210,6 +210,21 @@ class TestVerify:
         assert "Traceback" not in err
         assert not report.exists() and not (tmp_path / "r.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("command, flag", [("verify", "--samples"), ("minimize", "--restarts")])
+    def test_out_of_memory_fails_fast(self, tmp_path, command, flag):
+        # in a child process, so a run that starts work per chunk before it
+        # allocates fails this test by its timeout instead of hanging the suite
+        emb = self._write_ar(tmp_path)
+        src = Path(crsphere.__file__).resolve().parent.parent
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import crsphere.cli; "
+                "sys.exit(crsphere.cli.main(sys.argv[1:]))")
+        out = subprocess.run(
+            [sys.executable, "-c", code, command, str(emb), flag, str(10**15),
+             "--report", str(tmp_path / "r.json")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 71, out.stderr
+
     def test_control_fails_with_witness(self, tmp_path, capsys):
         emb = tmp_path / "holo.json"
         run("construct", "--preset", "holomorphic", "--m", "2", "--out", str(emb))
