@@ -39,7 +39,6 @@ from .verifier import (
     complex_pairs,
     equivalence_check_many,
     numerical_rank,
-    point_report,
 )
 from .wirtinger import CompiledEvaluator
 
@@ -162,10 +161,14 @@ class CertificateReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _verdict(any_failure: bool, any_marginal: bool) -> str:
-    if any_failure:
+def _verdict(s: np.ndarray, q: int, tol: float) -> str:
+    """The verdict on the singular values s (n, q+1), descending, of n points.
+
+    Failure if any rank is below q+1, else marginal if any sigma_min is in the band.
+    """
+    if np.any(numerical_rank(s, tol) < q + 1):
         return VERDICT_FAILURE
-    if any_marginal:
+    if np.any(_is_marginal(s[:, -1], s[:, 0], tol)):
         return VERDICT_MARGINAL
     return VERDICT_ALL_REGULAR
 
@@ -237,10 +240,6 @@ def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
     smin, smax = s[:, -1], s[:, 0]
 
     gidx = int(np.argmin(smin))  # first occurrence: deterministic reduction
-    verdict = _verdict(
-        bool(np.any(numerical_rank(s, cfg.tol) < E.q + 1)),
-        bool(np.any(_is_marginal(smin, smax, cfg.tol))),
-    )
 
     return CertificateReport(
         label=E.label,
@@ -252,7 +251,7 @@ def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
         sigma_max_at_argmin=float(smax[gidx]),
         argmin_z=tuple(complex(x) for x in chunk_argmin[gidx // _CHUNK]),
         converged_minima=(),
-        verdict=verdict,
+        verdict=_verdict(s, E.q, cfg.tol),
         objective=None,
         best_value=None,
         sigma_min_samples=smin,
@@ -296,8 +295,11 @@ def _objective_values(objective: str, s: np.ndarray) -> np.ndarray:
 def _value_and_gradient(E: GraphEmbedding, objective: str):
     """The objective and its Riemannian gradient on the sphere, batched over points.
 
-    One ``CompiledEvaluator`` gives ``g = df/dzbar`` and its Jacobians
-    ``dg/dz`` and ``dg/dzbar`` (second Wirtinger derivatives of f).  From the
+    One ``CompiledEvaluator`` gives, as coordinate rows, ``g = df/dzbar`` and
+    its Jacobians ``dg/dz`` and ``dg/dzbar`` (second Wirtinger derivatives of
+    f).  The Jacobians are copied into a contiguous (n, 2, qm, m) stack: the
+    batched complex product picks its kernel by the operand's strides, and a
+    strided view would round the gradient differently.  From the
     SVD ``M = U diag(s) V^H`` of the independence matrix,
     ``W = conj(U diag(p) V^H)`` gives ``d value = 2 Re sum(W * dM)``: for
     ``sigma_min^2`` (a simple smallest singular value) p is ``s_min`` on the
@@ -323,8 +325,8 @@ def _value_and_gradient(E: GraphEmbedding, objective: str):
 
     def evaluate(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(Z)
-        out = ev(Z)
-        M = np.concatenate([Z[:, None, :], out[:, :qm].reshape(n, E.q, m)], axis=1)
+        out = ev.rows(Z)
+        M = np.concatenate([Z[:, None, :], out[:qm].T.reshape(n, E.q, m)], axis=1)
         U, s, Vh = np.linalg.svd(M, full_matrices=False)
         if objective == OBJECTIVE_DET_SQ:
             sq = s * s
@@ -334,7 +336,8 @@ def _value_and_gradient(E: GraphEmbedding, objective: str):
             p[:, -1] = s[:, -1]
         W = np.conj((U * p[:, None, :]) @ Vh)
         # rows d/dz, d/dzbar; columns the entries of g in M's row-major order
-        ab = W[:, 1:, :].reshape(n, 1, 1, qm) @ out[:, qm:].reshape(n, 2, qm, m)
+        J = np.ascontiguousarray(out[qm:].T).reshape(n, 2, qm, m)
+        ab = W[:, 1:, :].reshape(n, 1, 1, qm) @ J
         G = 2 * (np.conj(W[:, 0, :] + ab[:, 0, 0]) + ab[:, 1, 0])
         grad = G - np.real(np.sum(G * np.conj(Z), axis=1))[:, None] * Z
         return _objective_values(objective, s), grad
@@ -454,33 +457,35 @@ def multistart_minimize(
 
     Starts are the argmin of a fixed-size coarse objective scan over seeded
     sphere samples, then the first ``restarts`` samples of the same stream;
-    all of them descend together in one batch (``_descend``).
-    Deterministic for fixed (restarts, seed).
+    all of them descend together in one batch (``_descend``).  One
+    ``IndependenceEvaluator`` ranks the scan and the best minimum's point, and
+    ``_verdict`` decides on that point's singular values, as a sweep's on all
+    of its samples.  Deterministic for fixed (restarts, seed).
     """
     _check_range("restarts", restarts)
     _check_range("seed", seed)
     evaluate = _value_and_gradient(E, opts.objective)
+    ev = IndependenceEvaluator(E)
     n_scan = max(_COARSE_SCAN, restarts)
     Z = sample_sphere(E.m, n_scan, seed)
-    s = IndependenceEvaluator(E).singular_values_many(Z)
-    scan_values = _objective_values(opts.objective, s)
+    scan_values = _objective_values(opts.objective, ev.singular_values_many(Z))
     starts = np.concatenate([Z[[int(np.argmin(scan_values))]], Z[:restarts]])
     minima = _descend(evaluate, starts)
     best = minima[int(np.argmin([lm.value for lm in minima]))]
-    rep = point_report(E, np.asarray(best.z), opts.tol)
+    s = ev.singular_values_many(np.array([best.z]))  # (1, q+1): the verdict's point
     return CertificateReport(
         label=E.label,
         samples=n_scan,
         seed=seed,
         tol=opts.tol,
         restarts=restarts,
-        min_sigma=rep.sigma_min,
-        sigma_max_at_argmin=rep.sigma_max,
+        min_sigma=float(s[0, -1]),
+        sigma_max_at_argmin=float(s[0, 0]),
         argmin_z=best.z,
         converged_minima=tuple(
             (lm.z, lm.value) for lm in minima if lm.converged
         ),
-        verdict=_verdict(not rep.cr_regular, rep.marginal),
+        verdict=_verdict(s, E.q, opts.tol),
         objective=opts.objective,
         best_value=best.value,
         extras={

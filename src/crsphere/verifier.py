@@ -120,7 +120,7 @@ class IndependenceEvaluator:
     def matrix_many(self, points: np.ndarray) -> np.ndarray:
         """Stack of independence matrices, shape (n, q+1, m)."""
         Z = np.asarray(points, dtype=np.complex128)
-        grads = self._dzbar(Z).reshape(Z.shape[0], self.q, self.m)
+        grads = self._dzbar.rows(Z).T.reshape(Z.shape[0], self.q, self.m)
         return np.concatenate([Z[:, None, :], grads], axis=1)
 
     def singular_values_many(self, points: np.ndarray) -> np.ndarray:
@@ -352,9 +352,9 @@ def equivalence_check_many(
 
     rhos = defining_functions(E)
     mq = E.m + E.q
-    image = np.concatenate([Z, CompiledEvaluator(E.f)(Z)], axis=1)
-    forms = CompiledEvaluator([r.d_z(j) for r in rhos for j in range(mq)])(image)
-    wedge_pass = wedge_nonzero(forms.reshape(len(Z), len(rhos), mq), tol)
+    image = np.concatenate([Z, CompiledEvaluator(E.f).rows(Z).T], axis=1)
+    forms = CompiledEvaluator([r.d_z(j) for r in rhos for j in range(mq)]).rows(image)
+    wedge_pass = wedge_nonzero(forms.T.reshape(len(Z), len(rhos), mq), tol)
 
     cr_dims = _tangent_cr_dims(E, Z, tol)
     expected = E.m - E.q - 1

@@ -503,20 +503,22 @@ class NonFiniteError(ArithmeticError):
 class CompiledEvaluator:
     """Several polynomials in the same m variables, evaluated together at many points.
 
-    A call works on coordinate rows, one row per quantity and one column per
-    point.  It fills a table with the powers of every coordinate along the
-    chain of the exponents that occur, and with the conjugates of the powers
-    that zbar takes.  Each monomial (K of them) is then the product of at
-    most F table rows, F being the most nonzero exponents in one monomial,
-    in coordinate order with z before zbar.  Each output is the sum of its
-    terms in monomial order, in real arithmetic: the real and the imaginary
-    coefficient parts are summed apart and combined last, the grouping of a
-    complex matrix product.  No BLAS call is made, since its rounding
-    depends on the batch size: a point gets the same bits alone as in any
-    batch.  Products and sums run with overflow warnings off; a coefficient
-    or a value that is not a finite float raises ``NonFiniteError`` rather
-    than reaching a rank decision or a descent.  ``WPolynomial.eval``, which
-    sums term by term, is the reference it is tested against.
+    ``rows`` is the one way to evaluate.  It returns coordinate rows, one row
+    per output and one column per point; a caller that wants one row per point
+    reads their transpose.  It fills a table with the powers of every
+    coordinate along the chain of the exponents that occur, and with the
+    conjugates of the powers that zbar takes.  Each monomial (K of them) is
+    then the product of at most F table rows, F being the most nonzero
+    exponents in one monomial, in coordinate order with z before zbar.  Each
+    output is the sum of its terms in monomial order, in real arithmetic: the
+    real and the imaginary coefficient parts are summed apart and combined
+    last, the grouping of a complex matrix product.  No BLAS call is made,
+    since its rounding depends on the batch size: a point gets the same bits
+    alone as in any batch.  Products and sums run with overflow warnings off; a
+    coefficient or a value that is not a finite float raises
+    ``NonFiniteError`` rather than reaching a rank decision or a
+    descent.  ``WPolynomial.eval``, which sums term by term, is the reference
+    it is tested against.
     """
 
     def __init__(self, polys: Sequence[WPolynomial]):
@@ -565,29 +567,13 @@ class CompiledEvaluator:
 
     def rows(self, points: np.ndarray) -> np.ndarray:
         """Values at a batch of points as coordinate rows, shape (n, m) -> (outputs, n)."""
-        Z = self._points(points)
-        values = np.empty((self._terms.shape[1], len(Z)), dtype=np.complex128)
-        self._evaluate(Z, values)
-        return values
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Values at a batch of points, shape (n, m) -> (n, outputs)."""
-        Z = self._points(points)
-        values = np.empty((len(Z), self._terms.shape[1]), dtype=np.complex128)
-        self._evaluate(Z, values.T)
-        return values
-
-    def _points(self, points) -> np.ndarray:
         Z = np.asarray(points, dtype=np.complex128)
         if Z.ndim != 2 or Z.shape[1] != self.m:
             raise ValueError(f"expected point array of shape (n, {self.m}), got {Z.shape}")
-        return Z
-
-    def _evaluate(self, Z: np.ndarray, out: np.ndarray) -> None:
-        """Write the values at Z into ``out``, shape (outputs, n)."""
+        out = np.empty((self._terms.shape[1], len(Z)), dtype=np.complex128)
         if not len(self._terms):
             out[...] = 0
-            return
+            return out
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             flat = self._monomials(Z).view(np.float64)
             # a, b: the sums of the terms times the real and times the imaginary
@@ -601,6 +587,7 @@ class CompiledEvaluator:
         if not np.isfinite(out).all():
             z = Z[np.argmin(np.isfinite(out).all(axis=0))].tolist()
             raise NonFiniteError(f"polynomial value is not finite at z = {z}")
+        return out
 
     def _monomials(self, Z: np.ndarray) -> np.ndarray:
         """The K monomials at the points, shape (K, n)."""

@@ -438,6 +438,45 @@ class TestMultistart:
             multistart_minimize(ar_embedding(), 0, 42)
 
 
+_AGREEMENT_CASES = [
+    pytest.param(ar_embedding, id="ar"),
+    pytest.param(lambda: block_sum_embedding(3), id="block-sum-n3"),
+    pytest.param(lambda: make_negative_control("radial", 3), id="radial-m3"),
+    pytest.param(lambda: make_negative_control("holomorphic", 2), id="holomorphic-m2"),
+]
+
+
+class TestSearchesAgreeWithPointReport:
+    """Both searches rank their argmin as ``point_report`` does, bit for bit."""
+
+    @pytest.mark.parametrize("make", _AGREEMENT_CASES)
+    def test_multistart(self, make):
+        self._multistart_agrees(make(), MinimizeOptions())
+
+    def test_multistart_det_objective(self):
+        self._multistart_agrees(ar_embedding(), MinimizeOptions(objective=OBJECTIVE_DET_SQ))
+
+    @staticmethod
+    def _multistart_agrees(E, opts):
+        rep = multistart_minimize(E, 4, 3, opts)
+        pr = point_report(E, rep.argmin_z, rep.tol)
+        assert (pr.sigma_min, pr.sigma_max) == (rep.min_sigma, rep.sigma_max_at_argmin)
+        if not pr.cr_regular:
+            assert rep.verdict == VERDICT_FAILURE
+        elif pr.marginal:
+            assert rep.verdict == VERDICT_MARGINAL
+        else:
+            assert rep.verdict == VERDICT_ALL_REGULAR
+
+    @pytest.mark.parametrize("make", _AGREEMENT_CASES)
+    def test_sweep(self, make):
+        # a sweep's verdict covers every sample, so only its argmin's values are compared
+        E = make()
+        rep = sweep(E, SweepConfig(samples=5_000, seed=3))
+        pr = point_report(E, rep.argmin_z, rep.tol)
+        assert (pr.sigma_min, pr.sigma_max) == (rep.min_sigma, rep.sigma_max_at_argmin)
+
+
 class TestSquareCaseCrossChecks:
     def test_det_equals_product_of_singular_values(self):
         E = ar_embedding()

@@ -201,7 +201,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("command, flag", [("verify", "--samples"), ("minimize", "--restarts")])
     def test_out_of_memory_exits_71(self, tmp_path, capsys, command, flag):
-        # numpy refuses a draw of this size before allocating any of it
+        # verify cannot preallocate the sweep's (samples, q+1) singular values,
+        # minimize the sampler's (count, m) points: both fail before any work
         emb = self._write_ar(tmp_path)
         report = tmp_path / "r.json"
         assert run(command, str(emb), flag, str(10**15), "--report", str(report)) == 71
