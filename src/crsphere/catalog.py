@@ -37,15 +37,16 @@ def sphere_defect(z: Sequence[complex]) -> float | np.ndarray:
     return np.abs(np.linalg.norm(np.asarray(z, dtype=np.complex128), axis=-1) - 1.0)
 
 
-def require_on_sphere(z: Sequence[complex], m: int) -> np.ndarray:
-    """The point (or stack of points) of C^m as a complex array.
+def require_on_sphere(z: Sequence[complex], m: int, stack: bool = False) -> np.ndarray:
+    """The point of C^m, or with ``stack`` the points (n, m), as a complex array.
 
-    Raises ValueError if the last axis does not have length m or any point is
-    off the unit sphere by more than SPHERE_TOL.
+    Raises ValueError if the shape is not (m,), or (n, m) with ``stack``, or
+    any point is off the unit sphere by more than SPHERE_TOL.
     """
     zv = np.asarray(z, dtype=np.complex128)
-    if zv.shape[-1:] != (m,):
-        raise ValueError(f"point has shape {zv.shape}, expected length {m}")
+    if zv.ndim != 1 + stack or zv.shape[-1] != m:
+        expected = f"an (n, {m}) stack of points" if stack else "one point"
+        raise ValueError(f"expected {expected} of length {m}, got shape {zv.shape}")
     defect = float(np.max(sphere_defect(zv), initial=0.0))
     if defect > SPHERE_TOL:
         raise ValueError(

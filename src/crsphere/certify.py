@@ -8,9 +8,9 @@ deterministic given their seeds: samples come from one counter-based stream,
 drawn chunk by chunk in stream order, the rank layer gives each point the same
 bits in any chunk, whatever the worker count, reductions are performed in
 sample order, and the descent moves all starts of a run as one batch.  A sweep
-streams: its pool's tasks draw, normalise and rank one chunk at a time, and
-the equivalence spot checks run as one more task beside them, so no full
-array of sample points is built.
+streams: its calling thread draws the chunks, its pool's tasks normalise and
+rank one chunk each, and the equivalence spot checks run as one more task
+beside them, so no full array of sample points is built.
 
 A sampling sweep is evidence, not proof; the verdict vocabulary says
 "all-regular (sampled)" deliberately.
@@ -18,10 +18,9 @@ A sampling sweep is evidence, not proof; the verdict vocabulary says
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from math import inf
@@ -72,26 +71,37 @@ OBJECTIVE_DET_SQ = "det_sq"
 _RANGES = {"samples": (1, inf), "seed": (0, inf), "workers": (1, 64), "restarts": (1, inf)}
 
 
-def _check_range(name: str, value: int | None) -> None:
+def _check_range(name: str, value: int) -> None:
     low, high = _RANGES[name]
-    if value is not None and not low <= value <= high:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    if not low <= value <= high:
         raise ConfigError(name, f"must lie in [{low}, {high}], got {value}")
+
+
+def _normal_chunks(m: int, count: int, seed: int):
+    """The sample stream: ``count`` standard normals in R^{2m}, as (rows, 2m) chunks.
+
+    One counter-based Philox stream keyed by the seed, drawn _CHUNK rows at a
+    time in stream order; the last chunk may be shorter.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    for i in range(0, count, _CHUNK):
+        yield rng.standard_normal((min(_CHUNK, count - i), 2 * m))
 
 
 def sample_sphere(m: int, count: int, seed: int) -> np.ndarray:
     """Uniform points on the unit sphere of C^m, shape (count, m).
 
-    Normalized standard Gaussians in R^{2m}, drawn from a counter-based
-    Philox stream keyed by the seed; the sequence is a pure function of
-    (m, count, seed) and slicing it gives deterministic sub-streams.
+    The normalised chunks of ``_normal_chunks``; the sequence is a pure
+    function of (m, count, seed) and slicing it gives deterministic
+    sub-streams.
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
-    rng = np.random.Generator(np.random.Philox(seed))
     Z = np.empty((count, m), dtype=np.complex128)
-    for i in range(0, count, _CHUNK):
-        rows = Z[i : i + _CHUNK]
-        _to_sphere(rng.standard_normal((len(rows), 2 * m)), rows)
+    for i, x in enumerate(_normal_chunks(m, count, seed)):
+        _to_sphere(x, Z[i * _CHUNK : i * _CHUNK + len(x)])
     return Z
 
 
@@ -118,7 +128,8 @@ class SweepConfig:
         _check_range("samples", self.samples)
         _check_range("seed", self.seed)
         _check_tol(self.tol)
-        _check_range("workers", self.workers)
+        if self.workers is not None:
+            _check_range("workers", self.workers)
 
 
 @dataclass
@@ -185,46 +196,31 @@ def _default_workers() -> int:
 def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
     """Evaluate the rank criterion at every sample; record the global margin.
 
-    The samples are ``sample_sphere(E.m, cfg.samples, cfg.seed)``, streamed
-    through a pool of ``cfg.workers`` threads (one per available CPU if
-    None).  Each rank task takes the next _CHUNK rows of the one Philox stream
-    under a lock, so chunks are drawn in stream order, then normalises and
-    ranks them and writes their singular values into one (samples, q+1)
-    array; only the lowest point of each chunk is kept.  The equivalence spot
-    checks of the first ``max(1, samples // 100)`` samples are one more task
-    of the pool, submitted first so they overlap the chunks; with one worker
-    everything runs in order on one thread.  The result is deterministic for
-    a fixed config, independent of the worker count: the first-occurrence
-    argmin of sigma_min is also the first occurrence of its chunk's minimum.
-    A chunk that fails stops the drawing, and the failure of the earliest
-    failed chunk is raised, before any failure of the spot checks.
+    The samples are ``sample_sphere(E.m, cfg.samples, cfg.seed)``.  The
+    calling thread draws them chunk by chunk from ``_normal_chunks`` and
+    submits each chunk to a pool of ``cfg.workers`` threads (one per
+    available CPU if None); a task normalises and ranks its chunk and writes
+    its singular values into one (samples, q+1) array, and only the lowest
+    point of each chunk is kept.  At most ``cfg.workers`` chunks are in
+    flight: the next chunk is drawn before the sweep waits on the oldest.
+    The equivalence spot checks of the first ``max(1, samples // 100)``
+    samples are one more task of the pool, submitted first so they overlap
+    the chunks.  The result is deterministic for a fixed config, independent
+    of the worker count: the first-occurrence argmin of sigma_min is also the
+    first occurrence of its chunk's minimum.  Results are taken in chunk
+    order, so the earliest failed chunk is raised, before any failure of the
+    spot checks, and no chunk is drawn after it.
     """
     n, m = cfg.samples, E.m
-    n_chunks = -(-n // _CHUNK)
     s = np.empty((n, E.q + 1))
-    chunk_argmin = np.empty((n_chunks, m), dtype=np.complex128)
+    chunk_argmin = np.empty((-(-n // _CHUNK), m), dtype=np.complex128)
     ev = IndependenceEvaluator(E)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    lock = threading.Lock()
-    order = itertools.count()
-    failures = {}  # chunk index -> exception; no chunk is drawn once one is set
 
-    def rank_chunks() -> None:
-        while True:
-            with lock:
-                i = next(order)
-                if i >= n_chunks or failures:
-                    return
-                x = rng.standard_normal((min(_CHUNK, n - i * _CHUNK), 2 * m))
-            try:
-                Z = _to_sphere(x, np.empty((len(x), m), dtype=np.complex128))
-                si = ev.singular_values_many(Z)
-            except Exception as exc:  # re-raised below, the earliest chunk's first
-                with lock:
-                    failures[i] = exc
-                return
-            s[i * _CHUNK : i * _CHUNK + len(si)] = si
-            chunk_argmin[i] = Z[np.argmin(si[:, -1])]
+    def rank_chunk(i: int, x: np.ndarray) -> None:
+        Z = _to_sphere(x, np.empty((len(x), m), dtype=np.complex128))
+        si = ev.singular_values_many(Z)
+        s[i * _CHUNK : i * _CHUNK + len(si)] = si
+        chunk_argmin[i] = Z[np.argmin(si[:, -1])]
 
     spot = max(1, n // 100)  # samples that get all three criteria
     workers = cfg.workers or _default_workers()
@@ -232,11 +228,13 @@ def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
         checks = pool.submit(
             lambda: equivalence_check_many(E, sample_sphere(m, spot, cfg.seed), cfg.tol)
         )
-        tasks = [pool.submit(rank_chunks) for _ in range(min(workers, n_chunks))]
-    for task in tasks:
-        task.result()
-    if failures:
-        raise failures[min(failures)]
+        tasks = deque()
+        for i, x in enumerate(_normal_chunks(m, n, cfg.seed)):
+            if len(tasks) == workers:
+                tasks.popleft().result()
+            tasks.append(pool.submit(rank_chunk, i, x))
+        for task in tasks:
+            task.result()
     smin, smax = s[:, -1], s[:, 0]
 
     gidx = int(np.argmin(smin))  # first occurrence: deterministic reduction

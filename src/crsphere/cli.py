@@ -6,7 +6,8 @@ marginal verdict from verify or minimize (the witness point is printed),
 3 internal criterion disagreement, 64 usage errors (among them --tol outside
 (0, 0.1) and --workers outside [1, 64]), 65 unreadable or malformed input files
 and embeddings whose values overflow a float, 70 internal faults (the
-traceback goes to standard error), 73 an output file that cannot be written.
+traceback goes to standard error), 71 out of memory (a run too large to
+allocate), 73 an output file that cannot be written.
 
 Human-readable summaries go to standard output; machine artifacts (embedding
 files, reports, histograms) go to files.  The file named by ``--out`` or

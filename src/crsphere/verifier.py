@@ -343,9 +343,7 @@ def equivalence_check_many(
 ) -> list[EquivalenceResult]:
     """All three criteria at a batch of points, each route batched over the points."""
     _check_tol(tol)
-    Z = require_on_sphere(points, E.m)
-    if Z.ndim != 2:
-        raise ValueError(f"expected shape (n, {E.m}), got {Z.shape}")
+    Z = require_on_sphere(points, E.m, stack=True)
 
     s = IndependenceEvaluator(E).singular_values_many(Z)
     rank_pass = numerical_rank(s, tol) == E.q + 1

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,26 @@ class TestSweep:
         assert sorted(batches) == [samples // 100] + [certify._CHUNK] * len(batches[1:])
         assert len(batches) <= 1 + workers
 
+    def test_the_calling_thread_draws_every_chunk_in_order(self, monkeypatch):
+        # pool tasks only rank: the sweep's stream is drawn by its caller alone,
+        # one chunk after another (the spot checks draw their own short copy)
+        samples, seed = 3 * certify._CHUNK + 17, 4
+        stream, draws = certify._normal_chunks, []
+
+        def recording(m, count, seed):
+            for x in stream(m, count, seed):
+                draws.append((count, threading.get_ident(), x.copy()))
+                yield x
+
+        monkeypatch.setattr(certify, "_normal_chunks", recording)
+        sweep(ar_embedding(), SweepConfig(samples=samples, seed=seed, workers=3))
+        drawn = [(thread, x) for count, thread, x in draws if count == samples]
+        expected = list(stream(2, samples, seed))
+        assert len(drawn) == len(expected) == 4
+        for (thread, x), y in zip(drawn, expected):
+            assert thread == threading.get_ident()
+            assert np.array_equal(x, y)
+
     def test_threshold_near_margin_is_marginal(self):
         E = ar_embedding()
         first = sweep(E, SweepConfig(samples=2_000, seed=42))
@@ -231,6 +252,9 @@ class TestSweep:
             (SweepConfig, {"tol": nan}, "tol"),
             (SweepConfig, {"workers": 0}, "workers"),
             (SweepConfig, {"workers": 65}, "workers"),
+            (SweepConfig, {"seed": False}, "seed"),
+            (SweepConfig, {"workers": 2.5}, "workers"),
+            (SweepConfig, {"samples": 100.0}, "samples"),
             (MinimizeOptions, {"tol": 0.0}, "tol"),
             (MinimizeOptions, {"tol": 0.1}, "tol"),
             (MinimizeOptions, {"tol": 0.5}, "tol"),
@@ -241,7 +265,10 @@ class TestSweep:
             with pytest.raises(certify.ConfigError, match=name) as exc:
                 config(**kwargs)
             assert isinstance(exc.value, ValueError) and exc.value.name == name
+        with pytest.raises(certify.ConfigError, match="restarts"):
+            multistart_minimize(ar_embedding(), True, 1)
         SweepConfig(workers=64)
+        SweepConfig(samples=np.int64(100), seed=np.uint8(3), workers=np.int32(2))
 
 
 class TestWorkerCount:

@@ -59,10 +59,13 @@ class TestIndependenceMatrix:
 
 
 @pytest.mark.parametrize(
-    "check", [independence_matrix, cr_dim_at, eval_embedding, local_minimize],
+    "check", [independence_matrix, cr_dim_at, eval_embedding, local_minimize, point_report],
     ids=lambda f: f.__name__,
 )
-@pytest.mark.parametrize("point", [[1.0], [1.0, 0.0, 0.0]], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "point", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]],
+    ids=["short", "long", "stack"],
+)
 def test_wrong_length_point_rejected(check, point):
     with pytest.raises(ValueError, match="length"):
         check(ar_embedding(), point)
