@@ -37,7 +37,6 @@ from .verifier import (
     _is_marginal,
     complex_pairs,
     equivalence_check_many,
-    numerical_rank,
 )
 from .wirtinger import CompiledEvaluator
 
@@ -71,12 +70,14 @@ OBJECTIVE_DET_SQ = "det_sq"
 _RANGES = {"samples": (1, inf), "seed": (0, inf), "workers": (1, 64), "restarts": (1, inf)}
 
 
-def _check_range(name: str, value: int) -> None:
+def _check_range(name: str, value: int) -> int:
+    """The setting as a Python int, so a numpy integer never reaches a report."""
     low, high = _RANGES[name]
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(name, f"must be an integer, got {value!r}")
     if not low <= value <= high:
         raise ConfigError(name, f"must lie in [{low}, {high}], got {value}")
+    return int(value)
 
 
 def _normal_chunks(m: int, count: int, seed: int):
@@ -125,11 +126,15 @@ class SweepConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        _check_range("samples", self.samples)
-        _check_range("seed", self.seed)
-        _check_tol(self.tol)
+        settings = {
+            "samples": _check_range("samples", self.samples),
+            "seed": _check_range("seed", self.seed),
+            "tol": _check_tol(self.tol),
+        }
         if self.workers is not None:
-            _check_range("workers", self.workers)
+            settings["workers"] = _check_range("workers", self.workers)
+        for name, value in settings.items():  # Python numbers, as checked
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -172,12 +177,15 @@ class CertificateReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _verdict(s: np.ndarray, q: int, tol: float) -> str:
+def _verdict(s: np.ndarray, tol: float) -> str:
     """The verdict on the singular values s (n, q+1), descending, of n points.
 
-    Failure if any rank is below q+1, else marginal if any sigma_min is in the band.
+    Failure if any rank is below q+1, else marginal if any sigma_min is in the
+    band.  In descending order the rank is q+1 exactly where the last value
+    exceeds ``tol * sigma_max``: this is ``numerical_rank(s, tol) == q + 1``
+    without counting every column, and a NaN never exceeds it.
     """
-    if np.any(numerical_rank(s, tol) < q + 1):
+    if not np.all(s[:, -1] > tol * s[:, 0]):
         return VERDICT_FAILURE
     if np.any(_is_marginal(s[:, -1], s[:, 0], tol)):
         return VERDICT_MARGINAL
@@ -249,7 +257,7 @@ def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
         sigma_max_at_argmin=float(smax[gidx]),
         argmin_z=tuple(complex(x) for x in chunk_argmin[gidx // _CHUNK]),
         converged_minima=(),
-        verdict=_verdict(s, E.q, cfg.tol),
+        verdict=_verdict(s, cfg.tol),
         objective=None,
         best_value=None,
         sigma_min_samples=smin,
@@ -268,7 +276,7 @@ class MinimizeOptions:
     def __post_init__(self):
         if self.objective not in (OBJECTIVE_SIGMA_MIN_SQ, OBJECTIVE_DET_SQ):
             raise ConfigError("objective", f"unknown objective {self.objective!r}")
-        _check_tol(self.tol)
+        object.__setattr__(self, "tol", _check_tol(self.tol))
 
 
 @dataclass(frozen=True)
@@ -460,8 +468,7 @@ def multistart_minimize(
     ``_verdict`` decides on that point's singular values, as a sweep's on all
     of its samples.  Deterministic for fixed (restarts, seed).
     """
-    _check_range("restarts", restarts)
-    _check_range("seed", seed)
+    restarts, seed = _check_range("restarts", restarts), _check_range("seed", seed)
     evaluate = _value_and_gradient(E, opts.objective)
     ev = IndependenceEvaluator(E)
     n_scan = max(_COARSE_SCAN, restarts)
@@ -483,7 +490,7 @@ def multistart_minimize(
         converged_minima=tuple(
             (lm.z, lm.value) for lm in minima if lm.converged
         ),
-        verdict=_verdict(s, E.q, opts.tol),
+        verdict=_verdict(s, opts.tol),
         objective=opts.objective,
         best_value=best.value,
         extras={

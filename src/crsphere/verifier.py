@@ -18,6 +18,13 @@ independent oracle.  ``equivalence_check_many`` runs all three on a batch of
 points, with ``IndependenceEvaluator.singular_values_many`` (the one rank
 layer behind every verdict) as its rank route, and reports any disagreement
 as an internal inconsistency.  A fault shared by all three goes unseen.
+
+For one graph function (q = 1) the matrix has rows z and g = df/dzbar, and
+it drops rank exactly where the section ``v = g - (<g, z> / |z|^2) z``, g's
+part orthogonal to z, vanishes.  The rank layer forms v in O(m) work a point
+and takes the Gram determinant as ``|z|^2 |v|^2``.  Unlike
+``|z|^2 |g|^2 - |<z, g>|^2`` this does not cancel, so sigma_min reaches 0
+where g is parallel to z, not 1e-8.
 """
 
 from __future__ import annotations
@@ -41,11 +48,13 @@ class RankToleranceError(RuntimeError):
     """Raised when a rank decision is numerically inconsistent."""
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float) -> float:
+    """The tolerance as a Python float, so a numpy scalar never reaches a report."""
     # sigma_min <= sigma_max, so at tol >= 1/MARGINAL_FACTOR every full-rank
     # matrix lies in the marginal band and no run can end all-regular
     if not 0 < tol < 1 / MARGINAL_FACTOR:  # NaN too
         raise ConfigError("tol", f"must lie in (0, {1 / MARGINAL_FACTOR}), got {tol}")
+    return float(tol)
 
 
 def numerical_rank(singular_values: np.ndarray, tol: float) -> np.ndarray | np.integer:
@@ -130,18 +139,22 @@ class IndependenceEvaluator:
         matrix, taken as coordinate rows: z from the points, g straight from
         the evaluator, so no (n, 2, m) stack is built.
         ``sigma_max^2 + sigma_min^2 = |z|^2 + |g|^2``, and
-        ``sigma_max^2 sigma_min^2 = D``, the Gram determinant, which Lagrange's
-        identity gives as the sum over i < j of ``|z_i g_j - z_j g_i|^2``.  D is
-        summed from these minors, never as ``|z|^2 |g|^2 - |<z, g>|^2``, whose
-        cancellation leaves sigma_min near 1e-8, not 0, where g is parallel to
-        z.  The discriminant of the quadratic for ``sigma_max^2`` is written as
-        the sum of squares ``(|z|^2 - |g|^2)^2 + 4 |<z, g>|^2``, not as
-        ``tr^2 - 4D``, so ``sigma_max`` keeps full precision where the two
-        values nearly meet; then ``sigma_min^2 = D / sigma_max^2``.  The minors
-        and the sums are formed in real arithmetic on the real and imaginary
-        parts, each sum accumulated pair by pair or coordinate by coordinate,
-        so every point rounds the same alone as in any batch.  A sum that
-        overflows a float raises ``NonFiniteError``.  For q > 1 a batched SVD.
+        ``sigma_max^2 sigma_min^2 = D``, the Gram determinant.  D comes from
+        the section ``v = g - (<g, z> / |z|^2) z``, g's part orthogonal to z,
+        with ``<g, z> = sum_k g_k conj(z_k)``: ``D = |z|^2 |v|^2``, O(m) work
+        a point.  It is never taken as ``|z|^2 |g|^2 - |<z, g>|^2``, whose
+        cancellation leaves an error of a rounding unit of ``|z|^2 |g|^2`` in
+        D, so sigma_min near 1e-8, not 0, where g is parallel to z.  Each
+        component of v is off by a few rounding units of |g| at most, so
+        sigma_min is off by a few units of sigma_max, however small v is.  The
+        discriminant of the quadratic for ``sigma_max^2`` is written as the sum
+        of squares ``(|z|^2 - |g|^2)^2 + 4 |<z, g>|^2``, not as ``tr^2 - 4D``,
+        so ``sigma_max`` keeps full precision where the two values nearly meet;
+        then ``sigma_min^2 = D / sigma_max^2``.  v and the sums are formed in
+        real arithmetic on the real and imaginary parts, each sum accumulated
+        coordinate by coordinate, so every point rounds the same alone as in
+        any batch.  A sum that overflows a float raises ``NonFiniteError``.
+        For q > 1 a batched SVD.
         """
         Z = np.asarray(points, dtype=np.complex128)
         if self.q > 1:
@@ -149,18 +162,25 @@ class IndependenceEvaluator:
         g = self._dzbar.rows(Z)
         zr, zi = np.ascontiguousarray(Z.real.T), np.ascontiguousarray(Z.imag.T)
         gr, gi = g.real.copy(), g.imag.copy()
+        t, u = np.empty_like(zr), np.empty_like(zr)  # reused for every product
+
+        def sum_of(a, b, c, d, combine=np.add):
+            """The sum over coordinates of ``combine(a * b, c * d)``."""
+            return _sum_rows(combine(np.multiply(a, b, out=t), np.multiply(c, d, out=u), out=t))
+
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            D = np.zeros(len(Z))
-            for i in range(self.m - 1):  # the minors (i, j) for all j > i at once
-                j = slice(i + 1, None)
-                re = (zr[i] * gr[j] - zi[i] * gi[j]) - (zr[j] * gr[i] - zi[j] * gi[i])
-                im = (zr[i] * gi[j] + zi[i] * gr[j]) - (zr[j] * gi[i] + zi[j] * gr[i])
-                for minor_sq in re * re + im * im:
-                    D += minor_sq
-            zz = _sum_rows(zr * zr + zi * zi)
-            gg = _sum_rows(gr * gr + gi * gi)
-            zg = np.sqrt(_sum_rows(zr * gr + zi * gi) ** 2 + _sum_rows(zi * gr - zr * gi) ** 2)
-            smax_sq = (zz + gg + np.hypot(zz - gg, 2 * zg)) / 2
+            zz = sum_of(zr, zr, zi, zi)
+            gg = sum_of(gr, gr, gi, gi)
+            pr = sum_of(zr, gr, zi, gi)  # <g, z> = pr + i pi
+            pi = sum_of(zr, gi, zi, gr, np.subtract)
+            smax_sq = (zz + gg + np.hypot(zz - gg, 2 * np.sqrt(pr**2 + pi**2))) / 2
+            # v = g - c z with c = <g, z> / |z|^2, formed in place over g
+            cr, ci = pr / zz, pi / zz
+            gr -= np.multiply(cr, zr, out=t)
+            gr += np.multiply(ci, zi, out=t)
+            gi -= np.multiply(cr, zi, out=t)
+            gi -= np.multiply(ci, zr, out=t)
+            D = zz * sum_of(gr, gr, gi, gi)
             smin_sq = np.divide(D, smax_sq, out=np.zeros_like(D), where=smax_sq > 0)
             s = np.stack([smax_sq, smin_sq], axis=1)
         if not np.isfinite(s).all():

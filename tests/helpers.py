@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from crsphere import GaussianRational, GraphEmbedding, WPolynomial
+from crsphere import GaussianRational, GraphEmbedding, IndependenceEvaluator, WPolynomial
 
 UNIT_COEFFS = (
     GaussianRational.of(1),
@@ -50,3 +50,36 @@ def random_embedding(seed, m, q):
     rng = np.random.default_rng(seed)
     fs = tuple(random_wpoly(rng, m) for _ in range(q))
     return GraphEmbedding(m, q, fs, f"random-m{m}-q{q}")
+
+
+def minor_singular_values(E, Z):
+    """Reference singular values (n, 2) of a q = 1 embedding from its 2 x 2 minors.
+
+    The Gram determinant D is summed pair by pair from the minors
+    ``z_i g_j - z_j g_i`` (Lagrange's identity), then
+    ``sigma_max^2 = (|z|^2 + |g|^2 + hypot(|z|^2 - |g|^2, 2 |<z, g>|)) / 2``
+    and ``sigma_min^2 = D / sigma_max^2``, in real arithmetic on coordinate
+    rows.  O(m^2) work a point; the rank layer forms the section instead.
+    """
+    g = IndependenceEvaluator(E).matrix_many(Z)[:, 1, :]
+    zr, zi, gr, gi = Z.real.T, Z.imag.T, g.real.T, g.imag.T
+    D = np.zeros(len(Z))
+    for i in range(E.m - 1):  # the minors (i, j) for all j > i at once
+        j = slice(i + 1, None)
+        re = (zr[i] * gr[j] - zi[i] * gi[j]) - (zr[j] * gr[i] - zi[j] * gi[i])
+        im = (zr[i] * gi[j] + zi[i] * gr[j]) - (zr[j] * gi[i] + zi[j] * gr[i])
+        for minor_sq in re * re + im * im:
+            D += minor_sq
+    zz = _sum_rows(zr * zr + zi * zi)
+    gg = _sum_rows(gr * gr + gi * gi)
+    zg = np.sqrt(_sum_rows(zr * gr + zi * gi) ** 2 + _sum_rows(zi * gr - zr * gi) ** 2)
+    smax_sq = (zz + gg + np.hypot(zz - gg, 2 * zg)) / 2
+    smin_sq = np.divide(D, smax_sq, out=np.zeros_like(D), where=smax_sq > 0)
+    return np.sqrt(np.stack([smax_sq, smin_sq], axis=1))
+
+
+def _sum_rows(rows):
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total

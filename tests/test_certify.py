@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crsphere import certify
+from crsphere import certify, verifier
 from crsphere import (
     CertificateReport,
     GaussianRational,
@@ -105,6 +106,44 @@ class TestSampleSphere:
         assert hashlib.sha256(Z.tobytes()).hexdigest() == digest
 
 
+def _rank_then_band_verdict(s, q, tol):
+    """The verdict rule by the numerical rank of every row, then the band."""
+    if np.any(verifier.numerical_rank(s, tol) < q + 1):
+        return VERDICT_FAILURE
+    if np.any(verifier._is_marginal(s[:, -1], s[:, 0], tol)):
+        return VERDICT_MARGINAL
+    return VERDICT_ALL_REGULAR
+
+
+@st.composite
+def _singular_value_rows(draw):
+    """(tol, q, s): descending rows s (n, q+1), sigma_min often on an edge of the rules."""
+    tol, q = draw(st.sampled_from([1e-8, 1e-3, 0.05])), draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        smax = draw(st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0, 1e6))
+        threshold = tol * smax
+        smin = draw(st.sampled_from([
+            0.0, threshold, np.nextafter(threshold, 0), np.nextafter(threshold, 1),
+            threshold / verifier.MARGINAL_FACTOR, threshold * verifier.MARGINAL_FACTOR,
+        ]) | st.floats(0, smax))
+        smin = min(smin, smax)
+        middle = draw(st.lists(st.floats(smin, smax), min_size=q - 1, max_size=q - 1))
+        rows.append([smax, *sorted(middle, reverse=True), smin])
+    s = np.array(rows)
+    s[draw(st.lists(st.booleans(), min_size=len(s), max_size=len(s)))] = np.nan
+    return tol, q, s
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_singular_value_rows())
+def test_verdict_is_the_rank_then_band_rule(case):
+    # full rank as sigma_min > tol * sigma_max is numerical_rank == q + 1 for
+    # descending rows, zero and NaN rows and the band's edges included
+    tol, q, s = case
+    assert certify._verdict(s, tol) == _rank_then_band_verdict(s, q, tol)
+
+
 class TestSweep:
     def test_ar_all_regular(self):
         rep = sweep(ar_embedding(), SweepConfig(samples=10_000, seed=42))
@@ -134,7 +173,8 @@ class TestSweep:
         "E", [block_sum_embedding(3), random_embedding(31, 3, 1)], ids=lambda E: E.label
     )
     def test_worker_count_does_not_change_report_with_many_minors(self, E):
-        # 15 and 3 minors per point, and a last chunk shorter than the others
+        # m = 6 and m = 3 coordinate rows per point, and a last chunk shorter
+        # than the others
         samples = 9_001
         assert samples % certify._CHUNK
         r1 = sweep(E, SweepConfig(samples=samples, seed=5, workers=1))
@@ -269,6 +309,24 @@ class TestSweep:
             multistart_minimize(ar_embedding(), True, 1)
         SweepConfig(workers=64)
         SweepConfig(samples=np.int64(100), seed=np.uint8(3), workers=np.int32(2))
+        # numpy scalars are kept as Python numbers, so reports dump as with them
+        E, tol32 = ar_embedding(), np.float32(1e-8)
+        for with_numpy, with_python in [
+            (SweepConfig(samples=np.int64(100), seed=np.int64(3)), SweepConfig(samples=100, seed=3)),
+            (SweepConfig(samples=100, tol=tol32, workers=np.int32(2)),
+             SweepConfig(samples=100, tol=float(tol32), workers=2)),
+        ]:
+            assert [type(getattr(with_numpy, f)) for f in ("samples", "seed", "tol", "workers")] == [
+                int, int, float, type(with_python.workers)
+            ]
+            assert sweep(E, with_numpy).dumps() == sweep(E, with_python).dumps()
+        assert type(MinimizeOptions(tol=tol32).tol) is float
+        for with_numpy, with_python in [
+            (MinimizeOptions(), MinimizeOptions()),
+            (MinimizeOptions(tol=tol32), MinimizeOptions(tol=float(tol32))),
+        ]:
+            rep = multistart_minimize(E, np.int64(2), np.int64(3), with_numpy)
+            assert rep.dumps() == multistart_minimize(E, 2, 3, with_python).dumps()
 
 
 class TestWorkerCount:

@@ -26,13 +26,15 @@ from crsphere import (
     point_report,
     sample_sphere,
     SweepConfig,
+    VERDICT_FAILURE,
+    multistart_minimize,
     sweep,
     wedge,
     wedge_nonzero,
 )
 from crsphere import cli, verifier
 from crsphere.wirtinger import NonFiniteError
-from helpers import random_embedding, random_unit, random_wpoly
+from helpers import minor_singular_values, random_embedding, random_unit, random_wpoly
 
 GR = GaussianRational.of
 CONTROLS = ("holomorphic", "zero", "radial")
@@ -79,15 +81,16 @@ def _svd_singular_values(E, Z):
     return np.linalg.svd(IndependenceEvaluator(E).matrix_many(Z), compute_uv=False)
 
 
-class TestClosedFormSingularValues:
-    """q = 1: the closed form from the 2 x 2 minors against a batched SVD."""
+_Q1_EMBEDDINGS = [
+    ar_embedding(), *(block_sum_embedding(n) for n in (1, 2, 3)),
+    *(random_embedding(60 + m, m, 1) for m in (2, 3, 4, 6)),
+]
 
-    @pytest.mark.parametrize(
-        "E",
-        [ar_embedding(), *(block_sum_embedding(n) for n in (1, 2, 3)),
-         *(random_embedding(60 + m, m, 1) for m in (2, 3, 4, 6))],
-        ids=lambda E: f"{E.label}-m{E.m}",
-    )
+
+class TestClosedFormSingularValues:
+    """q = 1: the closed form from the section v = g - (<g, z>/|z|^2) z against a batched SVD."""
+
+    @pytest.mark.parametrize("E", _Q1_EMBEDDINGS, ids=lambda E: f"{E.label}-m{E.m}")
     def test_matches_svd(self, E):
         Z = sample_sphere(E.m, 20_000, 10)
         s = IndependenceEvaluator(E).singular_values_many(Z)
@@ -151,6 +154,43 @@ class TestClosedFormSingularValues:
         Z = sample_sphere(E.m, 1000, 13)
         s = IndependenceEvaluator(E).singular_values_many(Z)
         assert np.array_equal(s, _svd_singular_values(E, Z))
+
+
+def _assert_agrees_with_minors(E, Z):
+    # sigma_max keeps the minors' bits; sigma_min agrees to 1e-15 sigma_max
+    s = IndependenceEvaluator(E).singular_values_many(Z)
+    ref = minor_singular_values(E, Z)
+    assert np.array_equal(s[:, 0], ref[:, 0])
+    assert np.all(np.abs(s[:, 1] - ref[:, 1]) <= 1e-15 * ref[:, 0])
+
+
+class TestSectionAgainstMinors:
+    """q = 1: the section form against the 2 x 2 minors it replaced (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("E", _Q1_EMBEDDINGS, ids=lambda E: f"{E.label}-m{E.m}")
+    def test_random_points(self, E):
+        _assert_agrees_with_minors(E, sample_sphere(E.m, 20_000, 10))
+
+    def test_near_singular_points(self):
+        # the failure-found argmin points of multistart runs on the sparse set,
+        # and each moved 1e-12 to 1e-8 along 8 tangent directions
+        sparse, rng = np.random.default_rng(11), np.random.default_rng(12)
+        witnesses = 0
+        for _ in range(10):
+            E = make_graph_embedding(3, [random_wpoly(sparse, 3)])
+            rep = multistart_minimize(E, 16, 42)
+            if rep.verdict != VERDICT_FAILURE:
+                continue
+            witnesses += 1
+            z = np.array(rep.argmin_z)
+            assert IndependenceEvaluator(E).singular_values_many(z[None, :])[0, 1] < 1e-8
+            w = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+            w -= np.real(w @ np.conj(z))[:, None] * z
+            w /= np.linalg.norm(w, axis=1, keepdims=True)
+            moved = (z + np.logspace(-12, -8, 5)[:, None, None] * w).reshape(-1, 3)
+            moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+            _assert_agrees_with_minors(E, np.concatenate([z[None, :], moved]))
+        assert witnesses >= 8
 
 
 class TestPointReport:
