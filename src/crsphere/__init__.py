@@ -64,6 +64,7 @@ from .certify import (
     is_ar_embedding,
     local_minimize,
     multistart_minimize,
+    multistart_minimize_many,
     sample_sphere,
     sigma_histogram,
     sweep,
@@ -87,6 +88,6 @@ __all__ = [
     "CertificateReport", "MinimizeOptions", "OBJECTIVE_DET_SQ", "SweepConfig",
     "VERDICT_ALL_REGULAR", "VERDICT_FAILURE", "VERDICT_MARGINAL",
     "ar_det_sq_of_t", "ar_determinant_profile", "histogram_csv", "is_ar_embedding",
-    "local_minimize", "multistart_minimize", "sample_sphere", "sigma_histogram",
-    "sweep",
+    "local_minimize", "multistart_minimize", "multistart_minimize_many",
+    "sample_sphere", "sigma_histogram", "sweep",
 ]

@@ -288,39 +288,48 @@ class LocalMinimum:
     start_value: float
 
 
-def _objective_values(objective: str, s: np.ndarray) -> np.ndarray:
-    """The degeneracy measure from singular values (n, q+1), descending.
-
-    ``sigma_min^2`` is the last one squared, ``|det|^2`` the product of the
-    squares.  The coarse scan and the descent both take their values here.
-    """
-    sq = s * s
-    return np.prod(sq, axis=1) if objective == OBJECTIVE_DET_SQ else sq[:, -1]
-
-
-def _value_and_gradient(E: GraphEmbedding, objective: str):
-    """The objective and its Riemannian gradient on the sphere, batched over points.
-
-    One ``CompiledEvaluator`` gives, as coordinate rows, ``g = df/dzbar`` and
-    its Jacobians ``dg/dz`` and ``dg/dzbar`` (second Wirtinger derivatives of
-    f).  The Jacobians are copied into a contiguous (n, 2, qm, m) stack: the
-    batched complex product picks its kernel by the operand's strides, and a
-    strided view would round the gradient differently.  From the
-    SVD ``M = U diag(s) V^H`` of the independence matrix,
-    ``W = conj(U diag(p) V^H)`` gives ``d value = 2 Re sum(W * dM)``: for
-    ``sigma_min^2`` (a simple smallest singular value) p is ``s_min`` on the
-    last triple and 0 elsewhere; for ``|det|^2``, Jacobi's formula
-    ``d det = tr(adj(M) dM)`` with ``conj(det) adj(M) = V diag(p) U^H`` gives
-    ``p_i = s_i prod_{j != i} s_j^2``.  By the chain rule
-    ``d value = 2 Re(a . dz + b . dzbar)`` with ``a = W_0 + sum_jk W_jk dg_jk/dz``
-    and ``b = sum_jk W_jk dg_jk/dzbar``, so the Euclidean gradient
-    (``2 d value/dzbar``) is ``G = 2 (conj(a) + b)``; its projection
-    ``G - Re<G, z> z`` onto the tangent space is returned.
-    """
+def _is_det(E: GraphEmbedding, objective: str) -> bool:
+    """Whether the objective is ``|det|^2``, which needs a square matrix."""
     if objective == OBJECTIVE_DET_SQ and E.q + 1 != E.m:
         raise ConfigError(
             "objective", f"det_sq needs a square matrix (q+1 == m), got q={E.q}, m={E.m}"
         )
+    return objective == OBJECTIVE_DET_SQ
+
+
+def _objective_values(s: np.ndarray, det) -> np.ndarray:
+    """The degeneracy measure from singular values (n, q+1), descending.
+
+    ``sigma_min^2`` is the last one squared, ``|det|^2`` the product of the
+    squares; ``det`` (one bool, or one per row) picks ``|det|^2``.  The
+    coarse scan and the descent both take their values here.
+    """
+    sq = s * s
+    return np.where(det, np.prod(sq, axis=1), sq[:, -1])
+
+
+def _value_and_gradient(E: GraphEmbedding):
+    """The objectives and their Riemannian gradients on the sphere, batched over points.
+
+    The returned ``evaluate(Z, det)`` takes points Z (n, m) and a bool per
+    row, True where the row's objective is ``|det|^2`` (see ``_is_det``),
+    False for ``sigma_min^2``.  One ``CompiledEvaluator`` gives, as coordinate
+    rows, ``g = df/dzbar`` and its Jacobians ``dg/dz`` and ``dg/dzbar``
+    (second Wirtinger derivatives of f).  The Jacobians are copied into a
+    contiguous (n, 2, qm, m) stack: the batched complex product picks its
+    kernel by the operand's strides, and a strided view would round the
+    gradient differently.  From the SVD ``M = U diag(s) V^H`` of the
+    independence matrix, ``W = conj(U diag(p) V^H)`` gives
+    ``d value = 2 Re sum(W * dM)``: for ``sigma_min^2`` (a simple smallest
+    singular value) p is ``s_min`` on the last triple and 0 elsewhere; for
+    ``|det|^2``, Jacobi's formula ``d det = tr(adj(M) dM)`` with
+    ``conj(det) adj(M) = V diag(p) U^H`` gives ``p_i = s_i prod_{j != i} s_j^2``.
+    By the chain rule ``d value = 2 Re(a . dz + b . dzbar)`` with
+    ``a = W_0 + sum_jk W_jk dg_jk/dz`` and ``b = sum_jk W_jk dg_jk/dzbar``, so
+    the Euclidean gradient (``2 d value/dzbar``) is ``G = 2 (conj(a) + b)``;
+    its projection ``G - Re<G, z> z`` onto the tangent space is returned.
+    Every step works row by row, so a row gets the same bits in any batch.
+    """
     m, qm = E.m, E.q * E.m
     g = [fj.d_zbar(k) for fj in E.f for k in range(m)]
     jacobians = [p.d_z(l) for p in g for l in range(m)] + [
@@ -329,24 +338,23 @@ def _value_and_gradient(E: GraphEmbedding, objective: str):
     ev = CompiledEvaluator(g + jacobians)
     others = [[j for j in range(m) if j != i] for i in range(m)]  # row i: all j != i
 
-    def evaluate(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(Z: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(Z)
         out = ev.rows(Z)
         M = np.concatenate([Z[:, None, :], out[:qm].T.reshape(n, E.q, m)], axis=1)
         U, s, Vh = np.linalg.svd(M, full_matrices=False)
-        if objective == OBJECTIVE_DET_SQ:
-            sq = s * s
-            p = s * np.multiply.reduce(sq[:, others], axis=2)
-        else:
-            p = np.zeros_like(s)
-            p[:, -1] = s[:, -1]
+        p = np.zeros_like(s)
+        p[:, -1] = s[:, -1]
+        if det.any():  # only a square matrix has det rows, and m singular values
+            sd = s[det]
+            p[det] = sd * np.multiply.reduce((sd * sd)[:, others], axis=2)
         W = np.conj((U * p[:, None, :]) @ Vh)
         # rows d/dz, d/dzbar; columns the entries of g in M's row-major order
         J = np.ascontiguousarray(out[qm:].T).reshape(n, 2, qm, m)
         ab = W[:, 1:, :].reshape(n, 1, 1, qm) @ J
         G = 2 * (np.conj(W[:, 0, :] + ab[:, 0, 0]) + ab[:, 1, 0])
         grad = G - np.real(np.sum(G * np.conj(Z), axis=1))[:, None] * Z
-        return _objective_values(objective, s), grad
+        return _objective_values(s, det), grad
 
     return evaluate
 
@@ -365,30 +373,34 @@ def _probes(Z: np.ndarray) -> np.ndarray:
     return (Z[:, None, :] + _PROBE_STEP * np.concatenate([D, -D], axis=1)).reshape(-1, m)
 
 
-def _descend(evaluate, starts: np.ndarray) -> list[LocalMinimum]:
+def _descend(evaluate, starts: np.ndarray, det: np.ndarray) -> list[LocalMinimum]:
     """Riemannian steepest descent on the unit sphere from every start at once.
 
     The starts move in lock-step as one (n, m) array, so each iteration makes
-    one evaluator call.  A step moves against the Riemannian gradient and
-    retracts to the sphere by normalising; each start keeps its own step size
-    under an Armijo test.  After an accepted step the next trial step is the
-    Barzilai-Borwein ratio ``<s, y> / <y, y>`` (Barzilai & Borwein 1988; the
-    Riemannian form of Iannazzo & Porcelli 2018), with ``s`` the move and ``y``
-    the change of the projected gradient, both in ambient C^m and paired by
-    ``Re`` of the Hermitian product (normalising is a retraction and
-    projection a vector transport); where ``<s, y> <= 0`` or the ratio is not
-    finite the step doubles instead.  A rejected step halves it.  Once a
-    start's gradient norm is below _GRAD_TOL, one probe round (see
-    ``_probes``) tells a minimum from a saddle or maximum: a probe that lowers
-    the value by _PROBE_DROP * _PROBE_STEP^2 restarts the descent there with a
-    step of 1, otherwise the start has converged.  A start stops unconverged
-    when a step could no longer move it, or at _MAX_ITER iterations.  Values
-    never increase, and ``nfev`` counts the points evaluated for a start,
-    probes included.
+    one evaluator call, whatever objective each start minimises: ``det``
+    holds one bool per start, passed to ``evaluate`` (see
+    ``_value_and_gradient``) with the start's trial point and with each of its
+    probes.  A step moves against the Riemannian gradient and retracts to the
+    sphere by normalising; each start keeps its own step size under an Armijo
+    test.  After an accepted step the next trial step is the Barzilai-Borwein
+    ratio ``<s, y> / <y, y>`` (Barzilai & Borwein 1988; the Riemannian form of
+    Iannazzo & Porcelli 2018), with ``s`` the move and ``y`` the change of the
+    projected gradient, both in ambient C^m and paired by ``Re`` of the
+    Hermitian product (normalising is a retraction and projection a vector
+    transport); where ``<s, y> <= 0`` or the ratio is not finite the step
+    doubles instead.  A rejected step halves it.  Once a start's gradient norm
+    is below _GRAD_TOL, one probe round (see ``_probes``) tells a minimum from
+    a saddle or maximum: a probe that lowers the value by
+    _PROBE_DROP * _PROBE_STEP^2 restarts the descent there with a step of 1,
+    otherwise the start has converged.  A start stops unconverged when a step
+    could no longer move it, or at _MAX_ITER iterations.  Values never
+    increase, and ``nfev`` counts the points evaluated for a start, probes
+    included.  Every operation works row by row, so a start follows the same
+    trajectory, bit for bit, in any batch as alone.
     """
     n, m = starts.shape
     Z = starts.copy()
-    value, grad = evaluate(Z)
+    value, grad = evaluate(Z, det)
     start_value = value.copy()
     gnorm = np.linalg.norm(grad, axis=1)
     step = np.ones(n)
@@ -402,7 +414,7 @@ def _descend(evaluate, starts: np.ndarray) -> list[LocalMinimum]:
             break
         C = np.concatenate([Z[d] - step[d, None] * grad[d], _probes(Z[p])])
         C /= np.linalg.norm(C, axis=1, keepdims=True)
-        v, g = evaluate(C)
+        v, g = evaluate(C, np.concatenate([det[d], np.repeat(det[p], 4 * m)]))
         nfev[d] += 1
         nfev[p] += 4 * m
 
@@ -450,7 +462,8 @@ def local_minimize(
     iteration cap returns the best point so far flagged unconverged.
     """
     z0v = require_on_sphere(z0, E.m)
-    return _descend(_value_and_gradient(E, opts.objective), z0v[None, :])[0]
+    det = np.array([_is_det(E, opts.objective)])
+    return _descend(_value_and_gradient(E), z0v[None, :], det)[0]
 
 
 def multistart_minimize(
@@ -461,42 +474,64 @@ def multistart_minimize(
 ) -> CertificateReport:
     """Riemannian descent from seeded starts plus a coarse-scan argmin.
 
-    Starts are the argmin of a fixed-size coarse objective scan over seeded
-    sphere samples, then the first ``restarts`` samples of the same stream;
-    all of them descend together in one batch (``_descend``).  One
-    ``IndependenceEvaluator`` ranks the scan and the best minimum's point, and
-    ``_verdict`` decides on that point's singular values, as a sweep's on all
-    of its samples.  Deterministic for fixed (restarts, seed).
+    The one-objective case of ``multistart_minimize_many``.
+    """
+    return multistart_minimize_many(E, restarts, seed, [opts])[0]
+
+
+def multistart_minimize_many(
+    E: GraphEmbedding,
+    restarts: int,
+    seed: int,
+    runs: Sequence[MinimizeOptions],
+) -> list[CertificateReport]:
+    """One multistart report per options in ``runs``, from one batched descent.
+
+    The starts of a run are the argmin of its objective over a fixed-size
+    coarse scan of seeded sphere samples, then the first ``restarts`` samples
+    of the same stream.  One ``IndependenceEvaluator`` ranks the scan once
+    for every run, and the starts of every run, run after run, descend
+    together in one batch (``_descend``) on one evaluator.  Each start
+    follows the trajectory it takes alone, so a run's report does not depend
+    on the other runs in the batch.  The same evaluator ranks each run's best
+    point, and ``_verdict`` decides on that point's singular values, as a
+    sweep's on all of its samples.  Deterministic for fixed (restarts, seed).
     """
     restarts, seed = _check_range("restarts", restarts), _check_range("seed", seed)
-    evaluate = _value_and_gradient(E, opts.objective)
+    dets = [_is_det(E, opts.objective) for opts in runs]
+    evaluate = _value_and_gradient(E)
     ev = IndependenceEvaluator(E)
     n_scan = max(_COARSE_SCAN, restarts)
     Z = sample_sphere(E.m, n_scan, seed)
-    scan_values = _objective_values(opts.objective, ev.singular_values_many(Z))
-    starts = np.concatenate([Z[[int(np.argmin(scan_values))]], Z[:restarts]])
-    minima = _descend(evaluate, starts)
-    best = minima[int(np.argmin([lm.value for lm in minima]))]
-    s = ev.singular_values_many(np.array([best.z]))  # (1, q+1): the verdict's point
-    return CertificateReport(
-        label=E.label,
-        samples=n_scan,
-        seed=seed,
-        tol=opts.tol,
-        restarts=restarts,
-        min_sigma=float(s[0, -1]),
-        sigma_max_at_argmin=float(s[0, 0]),
-        argmin_z=best.z,
-        converged_minima=tuple(
-            (lm.z, lm.value) for lm in minima if lm.converged
-        ),
-        verdict=_verdict(s, opts.tol),
-        objective=opts.objective,
-        best_value=best.value,
-        extras={
-            "unconverged_restarts": sum(1 for lm in minima if not lm.converged),
-        },
+    s_scan = ev.singular_values_many(Z)
+    per_run = restarts + 1
+    starts = np.concatenate(
+        [Z[np.r_[np.argmin(_objective_values(s_scan, det)), :restarts]] for det in dets]
     )
+    minima = _descend(evaluate, starts, np.repeat(dets, per_run))
+    minima = [minima[k * per_run : (k + 1) * per_run] for k in range(len(runs))]
+    bests = [run[int(np.argmin([lm.value for lm in run]))] for run in minima]
+    s = ev.singular_values_many(np.array([best.z for best in bests]))  # the verdicts' points
+    return [
+        CertificateReport(
+            label=E.label,
+            samples=n_scan,
+            seed=seed,
+            tol=opts.tol,
+            restarts=restarts,
+            min_sigma=float(si[-1]),
+            sigma_max_at_argmin=float(si[0]),
+            argmin_z=best.z,
+            converged_minima=tuple((lm.z, lm.value) for lm in run if lm.converged),
+            verdict=_verdict(si[None, :], opts.tol),
+            objective=opts.objective,
+            best_value=best.value,
+            extras={
+                "unconverged_restarts": sum(1 for lm in run if not lm.converged),
+            },
+        )
+        for opts, run, best, si in zip(runs, minima, bests, s)
+    ]
 
 
 # -- 1-D oracle for the totally real S^3 embedding -----------------------------------

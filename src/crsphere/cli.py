@@ -49,7 +49,7 @@ from .certify import (
     ar_det_sq_of_t,
     histogram_csv,
     is_ar_embedding,
-    multistart_minimize,
+    multistart_minimize_many,
     sigma_histogram,
     sweep,
 )
@@ -218,16 +218,17 @@ def cmd_minimize(args) -> int:
     objective = OBJECTIVE_DET_SQ if args.objective == "det" else OBJECTIVE_SIGMA_MIN_SQ
     opts = MinimizeOptions(objective=objective, tol=args.tol)
     E = _load_embedding(args.embedding)
-    report = multistart_minimize(E, args.restarts, args.seed, opts)
+    ar = is_ar_embedding(E)
+    # on ar the |det|^2 cross-check's starts descend in the same batch as the
+    # main objective's; with --objective det the main run is the cross-check
+    runs = [opts]
+    if ar and objective != OBJECTIVE_DET_SQ:
+        runs.append(replace(opts, objective=OBJECTIVE_DET_SQ))
+    reports = multistart_minimize_many(E, args.restarts, args.seed, runs)
+    report = reports[0]
 
-    if is_ar_embedding(E):
-        det_report = (
-            report
-            if objective == OBJECTIVE_DET_SQ
-            else multistart_minimize(
-                E, args.restarts, args.seed, replace(opts, objective=OBJECTIVE_DET_SQ)
-            )
-        )
+    if ar:
+        det_report = reports[-1]
         # on the sphere |det|^2 = ar_det_sq_of_t(|z1|^2) exactly, minimal at t = 1/3
         t_star = 1 / 3
         profile_min = float(ar_det_sq_of_t(t_star))
@@ -242,10 +243,11 @@ def cmd_minimize(args) -> int:
         f"{E.label}: best {objective} = {report.best_value:.6e} at "
         f"{list(report.argmin_z)}; verdict {report.verdict}"
     ]
-    unconverged = report.extras.get("unconverged_restarts", 0)
-    if unconverged:
-        lines.append(f"warning: {unconverged} restart(s) did not converge "
-                     "(iteration cap or stalled step)")
+    for rep, which in zip(reports, ("", "|det|^2 cross-check ")):
+        unconverged = rep.extras["unconverged_restarts"]
+        if unconverged:
+            lines.append(f"warning: {unconverged} {which}restart(s) did not converge "
+                         "(iteration cap or stalled step)")
     if "ar_cross_check" in report.extras:
         cc = report.extras["ar_cross_check"]
         lines.append(

@@ -405,6 +405,12 @@ class TestLocalMinimize:
         assert lm.value <= lm.start_value
 
 
+def _one_objective(E, objective):
+    """The batched value and gradient with every row on one objective."""
+    evaluate = certify._value_and_gradient(E)
+    return lambda Z: evaluate(Z, np.full(len(Z), objective == OBJECTIVE_DET_SQ))
+
+
 class TestDescentGradient:
     @pytest.mark.parametrize(
         "E, objective",
@@ -418,7 +424,7 @@ class TestDescentGradient:
         ids=["ar-sigma", "ar-det", "block-sum-n2", "random-m3-q1", "random-m4-q2"],
     )
     def test_matches_central_differences_along_tangents(self, E, objective):
-        evaluate = certify._value_and_gradient(E, objective)
+        evaluate = _one_objective(E, objective)
         rng = np.random.default_rng(31)
         h = 1e-5
         for z in sample_sphere(E.m, 5, 32):
@@ -450,8 +456,9 @@ class TestDescentCost:
     def test_evaluations_per_start_bounded(self, E, objective, oracle, max_nfev):
         # Barzilai-Borwein trial steps take at most 25, 24 and 73 evaluations
         # here; a step that only doubles and halves takes 70, 127 and 213
-        evaluate = certify._value_and_gradient(E, objective)
-        minima = certify._descend(evaluate, sample_sphere(E.m, 64, 42))
+        evaluate = certify._value_and_gradient(E)
+        minima = certify._descend(evaluate, sample_sphere(E.m, 64, 42),
+                                  np.full(64, objective == OBJECTIVE_DET_SQ))
         assert all(lm.converged for lm in minima)
         assert max(lm.nfev for lm in minima) <= max_nfev
         assert abs(min(lm.value for lm in minima) - oracle) < 1e-12
@@ -521,6 +528,39 @@ class TestMultistart:
     def test_restart_validation(self):
         with pytest.raises(ValueError, match="restarts"):
             multistart_minimize(ar_embedding(), 0, 42)
+
+
+class TestBatchedObjectives:
+    """Starts of several objectives in one descent keep their own trajectories."""
+
+    RUNS = [MinimizeOptions(), MinimizeOptions(objective=OBJECTIVE_DET_SQ)]
+
+    @pytest.mark.parametrize("restarts", [16, 64])
+    @pytest.mark.parametrize("seed", [1, 3, 42])
+    def test_ar_batch_equals_separate_runs(self, seed, restarts):
+        self._batch_equals_separate_runs(ar_embedding(), restarts, seed)
+
+    def test_square_q2_batch_equals_separate_runs(self):
+        self._batch_equals_separate_runs(random_embedding(7, 3, 2), 16, 3)
+
+    def _batch_equals_separate_runs(self, E, restarts, seed):
+        batch = certify.multistart_minimize_many(E, restarts, seed, self.RUNS)
+        assert [rep.objective for rep in batch] == ["sigma_min_sq", OBJECTIVE_DET_SQ]
+        for rep, opts in zip(batch, self.RUNS):
+            assert rep.dumps() == multistart_minimize(E, restarts, seed, opts).dumps()
+
+    def test_local_minimize_equals_its_row_of_the_batch(self):
+        E = ar_embedding()
+        starts = sample_sphere(2, 8, 5)
+        det = np.arange(8) % 2 == 1
+        minima = certify._descend(certify._value_and_gradient(E), starts, det)
+        for z, is_det, lm in zip(starts, det, minima):
+            opts = self.RUNS[int(is_det)]
+            assert local_minimize(E, z, opts) == lm
+
+    def test_det_run_on_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            certify.multistart_minimize_many(block_sum_embedding(2), 2, 1, self.RUNS)
 
 
 _AGREEMENT_CASES = [

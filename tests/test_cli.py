@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crsphere
-from crsphere import GraphEmbedding, RankToleranceError, ar_embedding, certify
+from crsphere import (
+    CompiledEvaluator, GraphEmbedding, RankToleranceError, ar_embedding, certify,
+)
 from crsphere.cli import EXIT_DATA, CliError, _load_embedding, build_parser, main
 
 
@@ -320,6 +322,50 @@ class TestVerify:
         assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
 
 
+class _EvaluatorCounts:
+    """Counts of CompiledEvaluator constructions and rows calls, and sample_sphere calls.
+
+    A rows call made inside ``certify._descend`` is a call of the gradient
+    evaluator; any other is recorded by its point count.
+    """
+
+    def __init__(self, monkeypatch):
+        self.reset()
+        self._in_descent = False
+        init, rows = CompiledEvaluator.__init__, CompiledEvaluator.rows
+        descend, sample = certify._descend, certify.sample_sphere
+
+        def counting_init(ev, polys):
+            self.evaluators += 1
+            init(ev, polys)
+
+        def counting_rows(ev, Z):
+            if self._in_descent:
+                self.descent_calls += 1
+            else:
+                self.other_points.append(len(Z))
+            return rows(ev, Z)
+
+        def counting_descend(*args):
+            self._in_descent = True
+            try:
+                return descend(*args)
+            finally:
+                self._in_descent = False
+
+        def counting_sample(*args):
+            self.samples.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(CompiledEvaluator, "__init__", counting_init)
+        monkeypatch.setattr(CompiledEvaluator, "rows", counting_rows)
+        monkeypatch.setattr(certify, "_descend", counting_descend)
+        monkeypatch.setattr(certify, "sample_sphere", counting_sample)
+
+    def reset(self):
+        self.evaluators, self.descent_calls, self.other_points, self.samples = 0, 0, [], []
+
+
 class TestMinimize:
     def test_ar_cross_check_gap(self, tmp_path, capsys):
         emb = tmp_path / "ar.json"
@@ -331,6 +377,25 @@ class TestMinimize:
         assert cc["gap"] <= 1e-6
         assert (cc["profile_min"], cc["profile_argmin_t"]) == (1 / 9, 1 / 3)
         assert "cross-check" in capsys.readouterr().out
+
+    def test_cross_check_rides_in_the_main_batch(self, tmp_path, monkeypatch):
+        emb = tmp_path / "ar.json"
+        run("construct", "--preset", "ar", "--out", str(emb))
+        counts = _EvaluatorCounts(monkeypatch)
+        alone = []  # gradient-evaluator calls of each objective's run alone
+        for objective in ("sigma_min_sq", "det_sq"):
+            counts.reset()
+            certify.multistart_minimize(
+                ar_embedding(), 16, 3, certify.MinimizeOptions(objective=objective)
+            )
+            alone.append(counts.descent_calls)
+        counts.reset()
+        assert run("minimize", str(emb), "--seed", "3", "--restarts", "16",
+                   "--report", str(tmp_path / "min.json")) == 0
+        assert counts.evaluators <= 2
+        assert counts.samples == [(2, 2048, 3)]
+        assert counts.other_points.count(2048) == 1  # one coarse scan
+        assert counts.descent_calls <= max(alone) < sum(alone)
 
     def test_radial_control_reports_zero(self, tmp_path, capsys):
         emb = tmp_path / "radial.json"
@@ -365,6 +430,30 @@ class TestMinimize:
                    "--report", str(tmp_path / "min.json")) == 0
         assert ("warning: 3 restart(s) did not converge (iteration cap or stalled step)"
                 in capsys.readouterr().out)
+
+    def test_cross_check_warns_of_its_own_unconverged_restarts(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        emb = tmp_path / "ar.json"
+        run("construct", "--preset", "ar", "--out", str(emb))
+        capsys.readouterr()
+        report = str(tmp_path / "min.json")
+        assert run("minimize", str(emb), "--restarts", "2", "--report", report) == 0
+        assert "warning" not in capsys.readouterr().out
+        monkeypatch.setattr(certify, "_MAX_ITER", 5)
+        assert run("minimize", str(emb), "--restarts", "2", "--report", report) == 0
+        warnings = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("warning")]
+        assert warnings == [
+            "warning: 2 restart(s) did not converge (iteration cap or stalled step)",
+            "warning: 2 |det|^2 cross-check restart(s) did not converge "
+            "(iteration cap or stalled step)",
+        ]
+        # with --objective det the main run is the cross-check: one warning
+        assert run("minimize", str(emb), "--restarts", "2", "--objective", "det",
+                   "--report", report) == 0
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning")] == warnings[:1]
 
     def test_removed_iteration_flags_are_usage_errors(self, tmp_path):
         emb = tmp_path / "ar.json"
