@@ -13,6 +13,10 @@ The library view of the toolkit:
 * :mod:`crsphere.certify` -- seeded sampling sweeps, multistart minimization
   of the degeneracy measure, and the 1-D oracle profile;
 * :mod:`crsphere.cli` -- the ``crsphere`` command-line front end.
+
+Importing the package does not import numpy: each numerical module imports
+it the first time one of its functions uses it (:mod:`crsphere._lazy`), so
+the exact layers run without it.
 """
 
 __version__ = "0.1.0"

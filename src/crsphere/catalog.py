@@ -15,9 +15,10 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .wirtinger import GR_I, MAX_VARIABLES, WPolynomial, json_int
+
+np = LazyNumpy(__name__)
 
 SPHERE_TOL = 1e-12
 

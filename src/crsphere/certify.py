@@ -26,8 +26,7 @@ from dataclasses import dataclass, field, fields
 from math import inf
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .catalog import GraphEmbedding, make_ar_polynomial, require_on_sphere
 from .verifier import (
     DEFAULT_RANK_TOL,
@@ -39,6 +38,8 @@ from .verifier import (
     equivalence_check_many,
 )
 from .wirtinger import CompiledEvaluator
+
+np = LazyNumpy(__name__)
 
 VERDICT_ALL_REGULAR = "all-regular (sampled)"
 VERDICT_MARGINAL = "marginal"
@@ -195,10 +196,13 @@ def _verdict(s: np.ndarray, tol: float) -> str:
 # -- sampling sweep ---------------------------------------------------------------
 
 def _default_workers() -> int:
-    """The CPUs this process may run on, where the platform tells them."""
+    """The CPUs this process may run on, where the platform tells them; at most
+    the top of ``--workers``'s range, since each worker is a thread."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _RANGES["workers"][1])
 
 
 def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:

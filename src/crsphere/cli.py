@@ -21,7 +21,6 @@ stays byte-reproducible for identical flags, whatever the worker count.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -79,6 +78,8 @@ def manifest_path_for(out_path: Path) -> Path:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # only a manifest with an input file needs it
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

@@ -32,10 +32,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .catalog import ConfigError, GraphEmbedding, norm_sq, require_on_sphere
 from .wirtinger import CompiledEvaluator, NonFiniteError, WPolynomial
+
+np = LazyNumpy(__name__)
 
 DEFAULT_RANK_TOL = 1e-8
 

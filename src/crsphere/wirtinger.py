@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-import numpy as np
+from ._lazy import LazyNumpy
+
+np = LazyNumpy(__name__)
 
 RationalLike = Union[int, Fraction]
 Key = tuple[tuple[int, ...], tuple[int, ...]]

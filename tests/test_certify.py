@@ -360,6 +360,14 @@ class TestWorkerCount:
         sweep(ar_embedding(), SweepConfig(samples=100))
         assert pool_sizes == [3]
 
+    def test_default_is_capped_like_the_flag(self, monkeypatch):
+        monkeypatch.setattr(certify.os, "sched_getaffinity", lambda pid: set(range(128)),
+                            raising=False)
+        assert certify._default_workers() == 64
+        monkeypatch.delattr(certify.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(certify.os, "cpu_count", lambda: 128)
+        assert certify._default_workers() == 64
+
 
 class TestLocalMinimize:
     def test_descent_from_axis(self):

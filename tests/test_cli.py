@@ -496,6 +496,52 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[] 0 []"
 
 
+def test_exact_commands_load_no_numpy(tmp_path):
+    """construct and identity-check run on exact arithmetic alone; verify and
+    minimize then import numpy on first use, in the same interpreter."""
+    src = Path(crsphere.__file__).resolve().parent.parent
+    t = str(tmp_path)
+    calls = [
+        ["construct", "--preset", "ar", "--out", f"{t}/ar.json"],
+        ["construct", "--preset", "q-block", "--n", "2", "--out", f"{t}/q.json"],
+        ["construct", "--preset", "holomorphic", "--m", "2", "--out", f"{t}/h.json"],
+        ["identity-check", "--report", f"{t}/id.json"],
+        ["identity-check", "--inject-fault"],
+    ]
+    numerical = [
+        ["verify", f"{t}/ar.json", "--samples", "200", "--report", f"{t}/v.json"],
+        ["minimize", f"{t}/ar.json", "--restarts", "2", "--report", f"{t}/m.json"],
+    ]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import crsphere.cli; "
+        f"codes = [crsphere.cli.main(a) for a in {calls!r}]; "
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'numpy']; "
+        f"codes += [crsphere.cli.main(a) for a in {numerical!r}]; "
+        "print(loaded, codes)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip().splitlines()[-1] == "[] [0, 0, 0, 0, 1, 0, 0]"
+
+
+def test_package_exports_resolve_to_their_definitions():
+    modules = [crsphere.wirtinger, crsphere.catalog, crsphere.verifier, crsphere.certify]
+    assert len(set(crsphere.__all__)) == len(crsphere.__all__)
+    for name in crsphere.__all__:
+        obj = getattr(crsphere, name)
+        if name == "__version__":
+            continue
+        owners = [m for m in modules if name in vars(m)]
+        assert owners, name
+        assert all(vars(m)[name] is obj for m in owners), name
+        home = getattr(obj, "__module__", None)
+        if home is not None and home.startswith("crsphere."):
+            assert vars(sys.modules[home])[name] is obj, name
+    namespace = {}
+    exec("from crsphere import *", namespace)
+    assert set(crsphere.__all__) <= set(namespace)
+
+
 def _overflowing_ar(tmp_path) -> Path:
     """The ar embedding plus 64 terms zbar_1^e with coefficient 2.5e306.
 
