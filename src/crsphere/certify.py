@@ -6,11 +6,13 @@ the sphere of the squared smallest singular value (or of the squared
 determinant modulus in the square case) to hunt for degeneracies.  Both are
 deterministic given their seeds: samples come from one counter-based stream,
 drawn chunk by chunk in stream order, the rank layer gives each point the same
-bits in any chunk, whatever the worker count, reductions are performed in
-sample order, and the descent moves all starts of a run as one batch.  A sweep
-streams: its calling thread draws the chunks, its pool's tasks normalise and
-rank one chunk each, and the equivalence spot checks run as one more task
-beside them, so no full array of sample points is built.
+bits in any chunk and on any thread, whatever the worker count, reductions are
+performed in sample order, and the descent moves all starts of a run as one
+batch.  A sweep streams: its calling thread draws the chunks, its pool's tasks
+normalise and rank one chunk each, and the equivalence spot checks run as one
+more task beside them, so no full array of sample points is built.  With a
+single worker the calling thread also ranks the chunks it draws while the spot
+checks hold that worker.
 
 A sampling sweep is evidence, not proof; the verdict vocabulary says
 "all-regular (sampled)" deliberately.
@@ -217,11 +219,15 @@ def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
     flight: the next chunk is drawn before the sweep waits on the oldest.
     The equivalence spot checks of the first ``max(1, samples // 100)``
     samples are one more task of the pool, submitted first so they overlap
-    the chunks.  The result is deterministic for a fixed config, independent
-    of the worker count: the first-occurrence argmin of sigma_min is also the
-    first occurrence of its chunk's minimum.  Results are taken in chunk
-    order, so the earliest failed chunk is raised, before any failure of the
-    spot checks, and no chunk is drawn after it.
+    the chunks.  With one worker the spot checks would leave the pool no
+    thread for the chunks, so until they finish the calling thread ranks
+    each chunk it draws itself; these chunks all precede the pooled ones.
+    The result is deterministic for a fixed config, independent of the
+    worker count: the first-occurrence argmin of sigma_min is also the first
+    occurrence of its chunk's minimum.  Results are taken in chunk order, so
+    the earliest failed chunk is raised, before any failure of the spot
+    checks; at most ``cfg.workers`` further chunks are drawn before it
+    surfaces, and fewer of them are ranked.
     """
     n, m = cfg.samples, E.m
     s = np.empty((n, E.q + 1))
@@ -242,6 +248,9 @@ def sweep(E: GraphEmbedding, cfg: SweepConfig) -> CertificateReport:
         )
         tasks = deque()
         for i, x in enumerate(_normal_chunks(m, n, cfg.seed)):
+            if workers == 1 and not checks.done():
+                rank_chunk(i, x)  # the spot checks hold the only worker
+                continue
             if len(tasks) == workers:
                 tasks.popleft().result()
             tasks.append(pool.submit(rank_chunk, i, x))

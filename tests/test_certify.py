@@ -5,6 +5,7 @@ import hashlib
 import json
 import sys
 import threading
+from concurrent.futures import wait
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,19 @@ def test_verdict_is_the_rank_then_band_rule(case):
     assert certify._verdict(s, tol) == _rank_then_band_verdict(s, q, tol)
 
 
+def _hold_spot_checks(monkeypatch) -> threading.Event:
+    """Make a sweep's spot checks hold their worker until the returned event is
+    set; they fail after 10 s without it, so a sweep that waits on them ends."""
+    release, check = threading.Event(), certify.equivalence_check_many
+
+    def held(*args):
+        assert release.wait(10), "no chunk was ranked while the spot checks ran"
+        return check(*args)
+
+    monkeypatch.setattr(certify, "equivalence_check_many", held)
+    return release
+
+
 class TestSweep:
     def test_ar_all_regular(self):
         rep = sweep(ar_embedding(), SweepConfig(samples=10_000, seed=42))
@@ -251,6 +265,67 @@ class TestSweep:
         assert str(exc.value) == f"{certify._CHUNK} {sample_sphere(2, 1, 2)[0]}"
         assert sorted(batches) == [samples // 100] + [certify._CHUNK] * len(batches[1:])
         assert len(batches) <= 1 + workers
+
+    def test_one_worker_ranks_on_the_calling_thread_during_the_spot_checks(self, monkeypatch):
+        # the spot checks hold the only worker until the calling thread has
+        # ranked two chunks itself; once they are done the pool ranks the rest
+        E, samples, seed = ar_embedding(), 4 * certify._CHUNK + 17, 9
+        expected = sweep(E, SweepConfig(samples=samples, seed=seed, workers=2))
+        release = _hold_spot_checks(monkeypatch)
+        caller, rank = threading.get_ident(), IndependenceEvaluator.singular_values_many
+        batches, futures = [], []
+
+        class Recording(certify.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        def recording(self, points):
+            s = rank(self, points)
+            batches.append((threading.get_ident(), len(points)))
+            if batches == [(caller, certify._CHUNK)] * 2:
+                release.set()
+                wait(futures[:1], timeout=10)  # the spot checks, submitted first
+            return s
+
+        monkeypatch.setattr(certify, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(IndependenceEvaluator, "singular_values_many", recording)
+        rep = sweep(E, SweepConfig(samples=samples, seed=seed, workers=1))
+        pool = [size for thread, size in batches if thread != caller]
+        assert batches[:2] == [(caller, certify._CHUNK)] * 2
+        assert pool == [samples // 100, certify._CHUNK, certify._CHUNK, 17]
+        assert rep.dumps() == expected.dumps()
+        assert np.array_equal(rep.sigma_min_samples, expected.sigma_min_samples)
+        assert np.array_equal(rep.sigma_max_samples, expected.sigma_max_samples)
+
+    def test_a_chunk_failed_on_the_calling_thread_is_raised(self, monkeypatch):
+        # with one worker, chunk 1 fails on the calling thread while the spot
+        # checks hold the worker; they fail next, and chunk 1's error is raised
+        samples, seed = 3 * certify._CHUNK + 17, 2
+        release = _hold_spot_checks(monkeypatch)
+        caller, rank = threading.get_ident(), IndependenceEvaluator.singular_values_many
+        stream, drawn, batches = certify._normal_chunks, [], []
+
+        def counting(m, count, seed):
+            for x in stream(m, count, seed):
+                drawn.append(count)
+                yield x
+
+        def failing_from_chunk_1(self, points):
+            batches.append((threading.get_ident() == caller, len(points)))
+            if batches == [(True, certify._CHUNK)]:
+                return rank(self, points)
+            release.set()
+            raise RuntimeError(f"{len(points)} {points[0]}")
+
+        monkeypatch.setattr(certify, "_normal_chunks", counting)
+        monkeypatch.setattr(IndependenceEvaluator, "singular_values_many", failing_from_chunk_1)
+        with pytest.raises(RuntimeError) as exc:
+            sweep(ar_embedding(), SweepConfig(samples=samples, seed=seed, workers=1))
+        chunk_1 = sample_sphere(2, certify._CHUNK + 1, seed)[certify._CHUNK]
+        assert str(exc.value) == f"{certify._CHUNK} {chunk_1}"
+        assert batches == [(True, certify._CHUNK)] * 2 + [(False, samples // 100)]
+        assert drawn.count(samples) <= 2 + 1
 
     def test_the_calling_thread_draws_every_chunk_in_order(self, monkeypatch):
         # pool tasks only rank: the sweep's stream is drawn by its caller alone,
